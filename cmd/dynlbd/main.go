@@ -75,13 +75,13 @@ func run() int {
 		// in-process. Rows are bit-identical either way — jobs are pure
 		// functions of their plan inputs — so the cache, SSE streams and
 		// fairness discipline are untouched.
-		pool := dist.NewPool(dist.Options{
+		coord := dist.New(dist.Options{
 			Workers: strings.Split(*distW, ","),
 			Logf:    log.Printf,
 		})
-		defer pool.Close()
-		sched.UseRemote(pool.RunPlanJob)
-		log.Printf("dynlbd fanning simulations out to %d workers: %s", pool.NumWorkers(), *distW)
+		defer coord.Close()
+		sched.UseRemote(coord.RunJob)
+		log.Printf("dynlbd fanning simulations out to %d workers: %s", coord.Pool().NumWorkers(), *distW)
 	}
 	srv := &http.Server{Addr: *addr, Handler: service.NewServer(sched)}
 

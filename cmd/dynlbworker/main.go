@@ -10,7 +10,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/jobs   run a batch of jobs (coordinator protocol)
+//	POST /v1/jobs   run one job (coordinator protocol)
 //	GET  /healthz   liveness and load: {"status":"ok","slots":N,"busy":B,"jobs_done":D}
 //
 // The worker holds no sweep state: coordinators may crash, retry, or send

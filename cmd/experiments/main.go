@@ -28,11 +28,11 @@
 //	experiments -fig 8 -reps 5 -compare psu-opt+RANDOM,OPT-IO-CPU
 //
 // With -dist the sweep executes on a worker fleet instead of in-process:
-// a coordinator shards the plan's slots across the named dynlbworker
+// a coordinator dispatches the plan's jobs to the named dynlbworker
 // instances, re-dispatches on worker death or timeout, degrades to local
 // execution when the fleet is unreachable, and merges completions in the
 // library's deterministic order — the rows (and any -out file) are
-// byte-identical to a local run. -placement records where every slot ran:
+// byte-identical to a local run. -placement records where every job ran:
 //
 //	dynlbworker -addr :9090 & dynlbworker -addr :9091 &
 //	experiments -fig 1c -scale quick -dist http://localhost:9090,http://localhost:9091 \
@@ -103,7 +103,7 @@ func run(args []string, stdoutW, stderr io.Writer) (code int) {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write an allocation (heap) profile to this file on exit")
 		distW    = fs.String("dist", "", "comma-separated dynlbworker URLs: run the sweep on a coordinator + worker fleet (rows stay bit-identical)")
-		placeF   = fs.String("placement", "", "with -dist, write per-slot placement metadata to this file (.json = JSON, otherwise CSV)")
+		placeF   = fs.String("placement", "", "with -dist, write per-job placement metadata to this file (.json = JSON, otherwise CSV)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -314,7 +314,7 @@ type figurePlacement struct {
 }
 
 // writePlacement serializes the per-figure placement reports: JSON for a
-// .json path, otherwise a flat CSV with one row per (figure, slot).
+// .json path, otherwise a flat CSV with one row per (figure, job).
 func writePlacement(path string, placements []figurePlacement) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -331,17 +331,18 @@ func writePlacement(path string, placements []figurePlacement) (err error) {
 		return enc.Encode(placements)
 	}
 	cw := csv.NewWriter(f)
-	if err := cw.Write([]string{"figure", "slot", "worker", "attempts", "ms"}); err != nil {
+	if err := cw.Write([]string{"figure", "job", "slot", "worker", "attempts", "ms"}); err != nil {
 		return err
 	}
 	for _, p := range placements {
-		for _, s := range p.Slots {
+		for _, j := range p.Jobs {
 			rec := []string{
 				p.Figure,
-				strconv.Itoa(s.Slot),
-				s.Worker,
-				strconv.Itoa(s.Attempts),
-				fmt.Sprintf("%.1f", s.MS),
+				strconv.Itoa(j.Job),
+				strconv.Itoa(j.Slot),
+				j.Worker,
+				strconv.Itoa(j.Attempts),
+				fmt.Sprintf("%.1f", j.MS),
 			}
 			if err := cw.Write(rec); err != nil {
 				return err

@@ -1,9 +1,9 @@
 // Distributed demonstrates the coordinator + worker-fleet execution path
 // end to end, self-hosted in one process: it starts two dynlb workers on
-// loopback listeners, runs a quick sweep through a coordinator sharding
-// slots across them, and verifies the merged rows are byte-identical to
-// running the same experiment locally — the distributed tentpole's core
-// guarantee. It then prints where every slot ran.
+// loopback listeners, runs a quick sweep through a coordinator dispatching
+// its jobs to them, and verifies the merged rows are byte-identical to
+// running the same experiment locally — the distributed path's core
+// guarantee. It then prints where every job ran.
 //
 // Against a real fleet the same wiring is two flags away:
 //
@@ -58,7 +58,6 @@ func main() {
 
 	coord := dist.New(dist.Options{
 		Workers:      []string{w1.URL, w2.URL},
-		ChunkJobs:    2,
 		DisableLocal: true, // prove every job really crossed the wire
 	})
 	defer coord.Close()

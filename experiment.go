@@ -198,22 +198,22 @@ func WithMetricsWindow(width Duration) Option {
 // distributed coordinator in internal/dist is the canonical implementation.
 // Run calls ExecutePlan after it has emitted the plan's dependency-free
 // Start rows; the executor must then run every physical job — locally,
-// remotely, in any order and at any parallelism — feed completions back
-// through SetJobResult/Complete (serialized, per the Plan contract), and
-// forward each batch of newly emittable rows to deliver in the order
-// Complete returned them. Because every job is a pure function of its
-// (Config, Strategy) pair, any executor that simulates the jobs faithfully
-// yields rows bit-identical to the in-process pool.
+// remotely, in any order and at any parallelism — and fold the completions
+// into rows, forwarding each batch to deliver in the order Complete
+// returned it. Plan.Execute does the folding for any per-job runner.
+// Because every job is a pure function of its (Config, Strategy) pair, any
+// executor that simulates the jobs faithfully yields rows bit-identical to
+// the in-process pool.
 type Executor interface {
 	ExecutePlan(ctx context.Context, p *Plan, deliver func([]Row)) error
 }
 
 // WithDistributed runs the experiment's physical jobs through an external
-// executor — typically a dist.Coordinator sharding slot ranges across
-// remote workers — instead of the in-process worker pool. Row identity is
+// executor — typically a dist.Coordinator dispatching jobs to remote
+// workers — instead of the in-process worker pool. Row identity is
 // unaffected: rows arrive in the same deterministic order with the same
-// bytes at any worker count or placement. WithWorkers only shapes the
-// executor's local fallback (if it has one); WithProgress streams rows
+// bytes at any worker count or placement. The executor sets its own
+// parallelism, so WithWorkers has no effect; WithProgress streams rows
 // exactly as in local execution.
 func WithDistributed(x Executor) Option {
 	return func(e *Experiment) { e.o.dist = x }
@@ -264,21 +264,15 @@ func (e *Experiment) Run(ctx context.Context) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.o.dist != nil {
-		return e.executeDist(ctx, p)
-	}
-	return e.execute(ctx, p)
-}
-
-// executeDist hands the plan's jobs to the WithDistributed executor,
-// keeping Run's own obligations — the cancelled-context gate, the Start
-// rows, progress streaming and full-completion checking — identical to
-// local execution.
-func (e *Experiment) executeDist(ctx context.Context, p *Plan) ([]Row, error) {
+	// A cancelled context delivers nothing: without this gate the Start
+	// below would stream dependency-free rows (e.g. Fig. 1a's analytic
+	// curve) that the nil return then disowns.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]Row, 0, p.NumRows())
+	// deliver appends a completed batch and streams it to WithProgress, so
+	// the progress stream is a deterministic prefix of the final row slice.
 	deliver := func(rows []Row) {
 		for _, r := range rows {
 			out = append(out, r)
@@ -292,11 +286,16 @@ func (e *Experiment) executeDist(ctx context.Context, p *Plan) ([]Row, error) {
 		return nil, err
 	}
 	deliver(first)
-	if err := e.o.dist.ExecutePlan(ctx, p, deliver); err != nil {
+	if e.o.dist != nil {
+		err = e.o.dist.ExecutePlan(ctx, p, deliver)
+	} else {
+		err = p.Execute(ctx, e.o.workers, func(_ context.Context, i int) error { return p.RunJob(i) }, deliver)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if !p.Done() {
-		return nil, fmt.Errorf("dynlb: distributed executor returned without completing every row (%d of %d emitted)", len(out), p.NumRows())
+		return nil, fmt.Errorf("dynlb: executor returned without completing every row (%d of %d emitted)", len(out), p.NumRows())
 	}
 	return out, nil
 }
@@ -304,20 +303,20 @@ func (e *Experiment) executeDist(ctx context.Context, p *Plan) ([]Row, error) {
 // Plan validates the experiment and compiles it into its executable
 // schedule: the physical simulation jobs (every sweep point expanded
 // through the replication/comparison stages) plus the slot and row
-// bookkeeping folding job outcomes back into Rows. Run drives a Plan on
-// its own worker pool; external schedulers (e.g. internal/service, which
-// multiplexes many experiments over one shared pool) drive it directly:
+// bookkeeping folding job outcomes back into Rows. Run drives a Plan
+// through Plan.Execute, which runs one job per call of a pluggable runner
+// (Plan.RunJob in process, a remote fleet's per-job runner behind
+// WithDistributed):
 //
 //	p, err := exp.Plan()
-//	rows, err := p.Start()            // rows with no simulation deps
-//	for i := 0; i < p.NumJobs(); i++ {
-//		go p.RunJob(i)                // concurrent-safe across distinct i
-//	}
-//	// as each job i finishes, from ONE goroutine (or under one lock):
-//	rows, err := p.Complete(i)        // newly completed rows, in order
+//	rows, err := p.Start() // rows with no simulation deps
+//	err = p.Execute(ctx, workers, run, deliver)
 //
-// Rows are a pure function of the experiment: however jobs are scheduled,
-// Complete emits the same rows in the same deterministic order.
+// Schedulers with their own claim policy (internal/service multiplexes
+// many plans over one shared pool, round-robin) call the slot hooks
+// directly instead. Rows are a pure function of the experiment: however
+// jobs are scheduled, Complete emits the same rows in the same
+// deterministic order.
 func (e *Experiment) Plan() (*Plan, error) {
 	if e.src == nil {
 		return nil, fmt.Errorf("dynlb: Experiment needs a point source (Figure or Sweep)")
@@ -386,9 +385,10 @@ func (e *Experiment) Plan() (*Plan, error) {
 // RunJob is safe to call concurrently for distinct job indices, and
 // SetJobResult for distinct indices not under a concurrent Complete of the
 // same slot; Start and Complete mutate the emission state and must be
-// serialized by the caller (one collector goroutine, or one mutex). A Plan
-// is single-use: drive it to completion once and build a fresh one to
-// re-run the experiment.
+// serialized by the caller (one collector goroutine, or one mutex).
+// Execute is that collector for any per-job runner. A Plan is single-use:
+// drive it to completion once and build a fresh one to re-run the
+// experiment.
 type Plan struct {
 	exp      *Experiment
 	jobs     []runJob
@@ -451,6 +451,68 @@ func (p *Plan) Complete(i int) ([]Row, error) {
 
 // Done reports whether every row has been emitted.
 func (p *Plan) Done() bool { return p.nextRow == len(p.rows) }
+
+// Execute drives the plan to completion. workers goroutines (<= 0 means
+// runtime.NumCPU) claim the jobs in index order and run each through run,
+// which must leave the job's Results in the plan as RunJob does; the
+// calling goroutine folds every completion through Complete and hands each
+// batch of newly emittable rows to deliver, in order. Call Start first.
+//
+// Execute returns nil once every job has completed, or the first error
+// run or Complete returns, or ctx's error. On an early return the context
+// passed to run is cancelled and no further job is claimed; jobs already
+// running finish in the background and their results are discarded.
+func (p *Plan) Execute(ctx context.Context, workers int, run func(ctx context.Context, i int) error, deliver func([]Row)) error {
+	n := p.NumJobs()
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	workers = min(workers, n)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		done   = make(chan int, n)         // one send per job, so workers never block
+		failed = make(chan error, workers) // at most one send per worker
+		next   atomic.Int64
+	)
+	next.Store(-1)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for {
+				i := int(next.Add(1))
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				if err := run(ctx, i); err != nil {
+					failed <- err
+					return
+				}
+				done <- i
+			}
+		}()
+	}
+	for completed := 0; completed < n; completed++ {
+		// Re-check cancellation first: when both a completion and Done are
+		// ready, select picks randomly, and a cancelled sweep must not keep
+		// draining completions.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case err := <-failed:
+			return err
+		case i := <-done:
+			rows, err := p.Complete(i)
+			if err != nil {
+				return err
+			}
+			deliver(rows)
+		}
+	}
+	return nil
+}
 
 // NumSlots is the number of logical slots of the plan: sweep points after
 // the replication/comparison stages, each owning a contiguous job range.
@@ -659,91 +721,4 @@ func (e *Experiment) expandCompared(seed int64) ([]runJob, []slot, []rowSpec, er
 		}}
 	}
 	return jobs, slots, rows, nil
-}
-
-// execute drives the plan on the experiment's own worker pool, folding
-// completed slots into point outcomes and streaming rows in order as their
-// dependencies complete. Workers claim jobs from an atomic counter and
-// report completions over a buffered channel, so abandoning the sweep (ctx
-// cancelled, job error) never blocks an in-flight worker.
-func (e *Experiment) execute(ctx context.Context, p *Plan) ([]Row, error) {
-	// A cancelled context delivers nothing: without this gate the Start
-	// below would stream dependency-free rows (e.g. Fig. 1a's analytic
-	// curve) that the nil return then disowns.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	workers := e.o.workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > p.NumJobs() {
-		workers = p.NumJobs()
-	}
-
-	var (
-		done   = make(chan int, p.NumJobs())
-		failed = make(chan error, workers+1)
-		next   atomic.Int64
-		stop   atomic.Bool
-		out    = make([]Row, 0, p.NumRows())
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(next.Add(1))
-				if i >= p.NumJobs() || stop.Load() || ctx.Err() != nil {
-					return
-				}
-				if err := p.RunJob(i); err != nil {
-					stop.Store(true)
-					failed <- err
-					return
-				}
-				done <- i
-			}
-		}()
-	}
-	// deliver appends a completed batch and streams it to WithProgress, so
-	// the progress stream is a deterministic prefix of the final row slice.
-	deliver := func(rows []Row) {
-		for _, r := range rows {
-			out = append(out, r)
-			if e.o.progress != nil {
-				e.o.progress(r)
-			}
-		}
-	}
-	first, err := p.Start() // rows with no simulation deps
-	if err != nil {
-		stop.Store(true)
-		return nil, err
-	}
-	deliver(first)
-	for completed := 0; completed < p.NumJobs(); {
-		// Re-check cancellation first: when both a completion and Done are
-		// ready, select picks randomly, and a cancelled sweep must not keep
-		// draining completions.
-		if err := ctx.Err(); err != nil {
-			stop.Store(true)
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-			return nil, ctx.Err()
-		case err := <-failed:
-			return nil, err
-		case i := <-done:
-			completed++
-			rows, err := p.Complete(i)
-			if err != nil {
-				stop.Store(true)
-				return nil, err
-			}
-			deliver(rows)
-		}
-	}
-	return out, nil
 }

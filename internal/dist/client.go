@@ -8,56 +8,49 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 )
 
 // client is the coordinator-side handle of one worker.
 type client struct {
 	base     string // normalized base URL, no trailing slash
 	http     *http.Client
-	inflight atomic.Int64 // dispatched ranges not yet resolved
+	inflight int // requests sent and not yet returned (guarded by Pool.mu)
 }
 
 func newClient(base string, hc *http.Client) *client {
 	return &client{base: strings.TrimRight(base, "/"), http: hc}
 }
 
-// run posts a batch of jobs and returns the per-job results keyed by job
-// ID. Any transport, HTTP-status or decode failure is returned as an
-// error; per-job simulation errors ride inside the map as wireResult.Err.
-func (c *client) run(ctx context.Context, jobs []wireJob) (map[int]wireResult, error) {
-	body, err := json.Marshal(runRequest{Jobs: jobs})
+// run posts one job and returns its result. Any transport, HTTP-status or
+// decode failure, or a reply for another job, is returned as an error; the
+// job's own simulation error rides inside the result as wireResult.Err.
+func (c *client) run(ctx context.Context, j wireJob) (wireResult, error) {
+	body, err := json.Marshal(j)
 	if err != nil {
-		return nil, fmt.Errorf("dist: marshal request: %w", err)
+		return wireResult{}, fmt.Errorf("dist: marshal request: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return wireResult{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, err
+		return wireResult{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("dist: worker %s: %s: %s", c.base, resp.Status, bytes.TrimSpace(msg))
+		return wireResult{}, fmt.Errorf("dist: worker %s: %s: %s", c.base, resp.Status, bytes.TrimSpace(msg))
 	}
-	var out runResponse
+	var out wireResult
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("dist: worker %s: decode response: %w", c.base, err)
+		return wireResult{}, fmt.Errorf("dist: worker %s: decode response: %w", c.base, err)
 	}
-	byID := make(map[int]wireResult, len(out.Results))
-	for _, r := range out.Results {
-		byID[r.ID] = r
+	if out.ID != j.ID {
+		return wireResult{}, fmt.Errorf("dist: worker %s: reply for job %d, want job %d", c.base, out.ID, j.ID)
 	}
-	for _, j := range jobs {
-		if _, ok := byID[j.ID]; !ok {
-			return nil, fmt.Errorf("dist: worker %s: job %d missing from response", c.base, j.ID)
-		}
-	}
-	return byID, nil
+	return out, nil
 }
 
 // health probes GET /healthz; nil means the worker is up.

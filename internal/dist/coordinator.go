@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"dynlb"
@@ -13,463 +14,300 @@ import (
 
 // Coordinator executes experiment plans across the worker fleet. It
 // implements dynlb.Executor, so it plugs into an experiment with
-// dynlb.WithDistributed(coord).
-//
-// ExecutePlan cuts the plan's slots into slot-aligned job ranges, keeps
-// one range in flight per live worker, and merges completions through the
-// plan's Complete hook from a single event loop — rows therefore assemble
-// in the library's deterministic order and the output is bit-identical to
-// local execution regardless of worker count, placement, re-dispatch or
-// duplicate delivery. See the package comment for the failure model.
+// dynlb.WithDistributed(coord), and its RunJob is the per-job runner that
+// internal/service's scheduler takes through UseRemote. See the package
+// comment for the failure model.
 type Coordinator struct {
 	o    Options
 	pool *Pool
-	last *Report // placement report of the most recent ExecutePlan
+
+	mu     sync.Mutex
+	rep    *Report // the report RunJob counts into; see Report
+	broken error   // the first duplicate that differed from its accepted copy
 }
 
 // New builds a coordinator (and its fleet pool) from opts.
 func New(opts Options) *Coordinator {
 	o := opts.withDefaults()
-	return &Coordinator{o: o, pool: NewPool(o)}
+	return &Coordinator{o: o, pool: newPool(o), rep: &Report{Workers: o.Workers}}
 }
 
-// Pool exposes the coordinator's fleet pool (shared health state; also the
-// per-job executor used by the service backend).
+// Pool exposes the coordinator's fleet pool and its shared health state.
 func (c *Coordinator) Pool() *Pool { return c.pool }
 
 // Close releases the fleet pool.
 func (c *Coordinator) Close() { c.pool.Close() }
 
-// Report returns the placement report of the most recent ExecutePlan, or
-// nil before the first run. Coordinators are driven by one experiment at a
-// time; Report is meaningful after ExecutePlan returns.
-func (c *Coordinator) Report() *Report { return c.last }
-
-// SlotPlacement records where one plan slot was finally computed.
-type SlotPlacement struct {
-	Slot     int     `json:"slot"`
-	Worker   string  `json:"worker"`   // worker base URL, or "local"
-	Attempts int     `json:"attempts"` // dispatch attempts of the slot's range (1 = first try)
-	MS       float64 `json:"ms"`       // wall-clock ms from sweep start to slot completion
+// Report returns a snapshot of the report of the most recent ExecutePlan.
+// RunJob calls made outside ExecutePlan (the service backend) add their
+// counts to the same report, but no placements.
+func (c *Coordinator) Report() *Report {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := *c.rep
+	r.Jobs = append([]JobPlacement(nil), r.Jobs...)
+	return &r
 }
 
-// Report summarizes one distributed sweep: where every slot ran and how
+// JobPlacement records where one plan job was computed.
+type JobPlacement struct {
+	Job      int     `json:"job"`
+	Slot     int     `json:"slot"`     // the plan slot (sweep point) the job belongs to
+	Worker   string  `json:"worker"`   // worker base URL of the accepted copy, or "local"
+	Attempts int     `json:"attempts"` // remote dispatches of the job (0 = never left the coordinator)
+	MS       float64 `json:"ms"`       // wall-clock ms from sweep start to job completion
+}
+
+// Report summarizes one distributed sweep: where every job ran and how
 // the failure machinery was exercised. It never influences the rows — the
 // same experiment produces the same rows under any Report.
 type Report struct {
-	Workers      []string        `json:"workers"`       // configured fleet
-	LiveAtStart  int             `json:"live_at_start"` // workers that answered the initial probe
-	Slots        []SlotPlacement `json:"slots"`
-	Duplicates   int             `json:"duplicates"`   // completions dropped as already-done (byte-verified)
-	Redispatches int             `json:"redispatches"` // ranges re-queued after a failure or timeout
-	LocalJobs    int             `json:"local_jobs"`   // jobs that ran on the coordinator
-	ElapsedMS    float64         `json:"elapsed_ms"`
+	Workers      []string       `json:"workers"`       // configured fleet
+	LiveAtStart  int            `json:"live_at_start"` // workers that answered the initial probe
+	Jobs         []JobPlacement `json:"jobs"`          // in job order
+	Duplicates   int            `json:"duplicates"`    // later copies of accepted jobs, byte-verified and dropped
+	Redispatches int            `json:"redispatches"`  // attempts repeated after a failed or abandoned request, or no live worker
+	LocalJobs    int            `json:"local_jobs"`    // jobs that ran on the coordinator
+	ElapsedMS    float64        `json:"elapsed_ms"`
 }
 
-// jobRange is the coordinator's unit of dispatch: one or more whole slots.
-type jobRange struct {
-	id      int
-	jobs    []wireJob // wire forms, empty for local-only ranges
-	jobIDs  []int     // plan job indices of the range
-	local   bool      // pinned to local execution (non-portable strategy)
-	seq     int       // dispatch sequence number (increments per dispatch)
-	live    bool      // currently in flight on a worker
-	worker  *client
-	tries   int // failed/abandoned dispatch attempts so far
-	started time.Time
-}
-
-// event kinds of the coordinator loop.
-const (
-	evDone    = iota // a worker request returned results
-	evFail           // a worker request failed at the transport/protocol level
-	evAbandon        // a dispatch exceeded RequestTimeout
-	evReady          // a range's re-dispatch backoff elapsed
-	evUp             // a downed worker came back
-	evLocal          // a local job finished
-)
-
-type event struct {
-	kind    int
-	rg      *jobRange
-	seq     int
-	worker  *client
-	results map[int]wireResult
-	err     error
-	jobID   int
-	res     dynlb.Results
-}
-
-var errAbandoned = errors.New("dist: request exceeded RequestTimeout (abandoned, not cancelled)")
-
-// ExecutePlan implements dynlb.Executor.
+// ExecutePlan implements dynlb.Executor: it probes the fleet, runs the
+// plan through Plan.Execute with RunJob, keeping one job in flight per
+// live worker (LocalWorkers when none answers), and records where every
+// job ran in a fresh Report.
 func (c *Coordinator) ExecutePlan(ctx context.Context, p *dynlb.Plan, deliver func([]dynlb.Row)) error {
 	start := time.Now()
-	report := &Report{Workers: append([]string(nil), c.o.Workers...)}
-	defer func() {
-		report.ElapsedMS = float64(time.Since(start)) / 1e6
-		sort.Slice(report.Slots, func(i, j int) bool { return report.Slots[i].Slot < report.Slots[j].Slot })
-		c.last = report
-	}()
-
-	nJobs := p.NumJobs()
-	if nJobs == 0 {
+	rep := &Report{Workers: c.o.Workers}
+	if p.NumJobs() > 0 {
+		rep.LiveAtStart = c.pool.Probe(ctx)
+	}
+	c.mu.Lock()
+	c.rep = rep
+	c.mu.Unlock()
+	defer c.count(func(r *Report) {
+		r.ElapsedMS = float64(time.Since(start)) / 1e6
+		sort.Slice(r.Jobs, func(a, b int) bool { return r.Jobs[a].Job < r.Jobs[b].Job })
+	})
+	if p.NumJobs() == 0 {
 		return nil
 	}
-
-	// The loop-lifetime plumbing: events carry every completion and state
-	// change into the single loop goroutine (this one); loopDone unblocks
-	// stragglers after the loop returns; runCtx aborts outstanding HTTP
-	// requests and local jobs on return.
-	events := make(chan event, 16)
-	loopDone := make(chan struct{})
-	defer close(loopDone)
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	post := func(e event) {
-		select {
-		case events <- e:
-		case <-loopDone:
-		}
-	}
-	c.pool.setOnUp(func(w *client) { post(event{kind: evUp, worker: w}) })
-
-	// Cut the plan into slot-aligned ranges.
-	ranges, rangeOf := buildRanges(p, c.o.ChunkJobs)
-
-	// Local fallback executor: LocalWorkers goroutines pulling job indices.
-	// The channel holds every job, so the loop never blocks feeding it.
-	localJobs := make(chan int, nJobs)
-	for w := 0; w < c.o.LocalWorkers; w++ {
-		go func() {
-			for {
-				var id int
-				select {
-				case <-loopDone:
-					return
-				case id = <-localJobs:
-				}
-				if runCtx.Err() != nil {
-					continue // drain without simulating; the loop is exiting
-				}
-				cfg, st := p.Job(id)
-				r, err := dynlb.Run(cfg, st)
-				post(event{kind: evLocal, jobID: id, res: r, err: err})
-			}
-		}()
-	}
-
-	// Loop state.
-	done := make([]bool, nJobs)
-	jobsLeft := nJobs
-	slotLeft := make([]int, p.NumSlots())
-	for s := range slotLeft {
-		_, n := p.SlotRange(s)
-		slotLeft[s] = n
-	}
-	busy := make(map[*client]bool)
-	var pending []*jobRange
-
-	// queueLocal hands a job to the local executor at most once — repeat
-	// requests (an exhausted range plus a late per-job error reply) would
-	// both waste a simulation and, past the channel capacity, deadlock the
-	// loop.
-	queuedLocal := make([]bool, nJobs)
-	queueLocal := func(id int) {
-		if queuedLocal[id] || done[id] {
-			return
-		}
-		queuedLocal[id] = true
-		report.LocalJobs++
-		localJobs <- id
-	}
-
-	toLocal := func(rg *jobRange) error {
+	inFlight := rep.LiveAtStart
+	if inFlight == 0 {
 		if c.o.DisableLocal {
-			return fmt.Errorf("dist: range %d exhausted %d remote attempts and local execution is disabled", rg.id, rg.tries)
+			return errors.New("dist: no live workers and local execution is disabled")
 		}
-		for _, id := range rg.jobIDs {
-			queueLocal(id)
-		}
-		return nil
+		c.o.Logf("dist: no live workers, running %d jobs locally", p.NumJobs())
+		inFlight = c.o.LocalWorkers
 	}
-
-	requeue := func(rg *jobRange, why error) error {
-		rg.tries++
-		if rg.tries >= c.o.MaxAttempts {
-			c.o.Logf("dist: range %d exhausted remote attempts (%v), running locally", rg.id, why)
-			return toLocal(rg)
-		}
-		report.Redispatches++
-		delay := c.o.Backoff.Delay(rg.tries - 1)
-		c.o.Logf("dist: range %d re-dispatching in %v (%v)", rg.id, delay, why)
-		time.AfterFunc(delay, func() { post(event{kind: evReady, rg: rg}) })
-		return nil
-	}
-
-	allDone := func(rg *jobRange) bool {
-		for _, id := range rg.jobIDs {
-			if !done[id] {
-				return false
-			}
-		}
-		return true
-	}
-
-	dispatch := func(rg *jobRange, w *client) {
-		var jobs []wireJob
-		for _, j := range rg.jobs {
-			if !done[j.ID] {
-				jobs = append(jobs, j)
-			}
-		}
-		rg.seq++
-		rg.live = true
-		rg.worker = w
-		rg.started = time.Now()
-		busy[w] = true
-		seq := rg.seq
-		w.inflight.Add(1)
-		go func() {
-			res, err := w.run(runCtx, jobs)
-			w.inflight.Add(-1)
-			if err != nil {
-				post(event{kind: evFail, rg: rg, seq: seq, worker: w, err: err})
-				return
-			}
-			post(event{kind: evDone, rg: rg, seq: seq, worker: w, results: res})
-		}()
-		time.AfterFunc(c.o.RequestTimeout, func() { post(event{kind: evAbandon, rg: rg, seq: seq, worker: w}) })
-	}
-
-	freeWorker := func() *client {
-		live := c.pool.liveSet()
-		sort.Slice(live, func(i, j int) bool { return live[i].base < live[j].base })
-		for _, w := range live {
-			if !busy[w] {
-				return w
-			}
-		}
-		return nil
-	}
-
-	tryDispatch := func() error {
-		for len(pending) > 0 {
-			if c.pool.NumLive() == 0 && !c.o.DisableLocal {
-				// Fleet is (currently) dead: degrade every queued range to
-				// local execution rather than stalling. Workers revived by
-				// the probers pick up later ranges.
-				c.o.Logf("dist: no live workers, degrading %d pending ranges to local execution", len(pending))
-				for _, rg := range pending {
-					if err := toLocal(rg); err != nil {
-						return err
-					}
-				}
-				pending = nil
-				return nil
-			}
-			w := freeWorker()
-			if w == nil {
-				return nil
-			}
-			rg := pending[0]
-			pending = pending[1:]
-			if allDone(rg) {
-				continue
-			}
-			dispatch(rg, w)
-		}
-		return nil
-	}
-
-	// complete folds one finished job into the plan, or byte-verifies it
-	// against the accepted result when it is a duplicate delivery.
-	complete := func(id int, res dynlb.Results, src string) error {
-		if done[id] {
-			report.Duplicates++
-			if err := verifySameResults(p.JobResult(id), res, id); err != nil {
-				return err
-			}
-			return nil
-		}
-		p.SetJobResult(id, res)
-		done[id] = true
-		jobsLeft--
-		rows, err := p.Complete(id)
+	err := p.Execute(ctx, inFlight, func(ctx context.Context, i int) error {
+		pl, err := c.runJob(ctx, p, i)
 		if err != nil {
 			return err
 		}
-		deliver(rows)
-		s := p.SlotOf(id)
-		if slotLeft[s]--; slotLeft[s] == 0 {
-			rg := rangeOf[id]
-			report.Slots = append(report.Slots, SlotPlacement{
-				Slot:     s,
-				Worker:   src,
-				Attempts: rg.tries + 1,
-				MS:       float64(time.Since(start)) / 1e6,
-			})
-		}
+		pl.MS = float64(time.Since(start)) / 1e6
+		c.count(func(r *Report) { r.Jobs = append(r.Jobs, pl) })
 		return nil
-	}
-
-	// Seed the queues: probe the fleet, then enqueue every range.
-	nLive := c.pool.Probe(ctx)
-	report.LiveAtStart = nLive
-	if nLive == 0 && c.o.DisableLocal {
-		return errors.New("dist: no live workers and local execution is disabled")
-	}
-	if nLive == 0 {
-		c.o.Logf("dist: no live workers, running %d jobs locally", nJobs)
-	}
-	for _, rg := range ranges {
-		if rg.local {
-			if err := toLocal(rg); err != nil {
-				return err
-			}
-			continue
-		}
-		pending = append(pending, rg)
-	}
-	if err := tryDispatch(); err != nil {
+	}, deliver)
+	if err != nil {
 		return err
 	}
-
-	for jobsLeft > 0 {
-		var e event
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case e = <-events:
-		}
-		switch e.kind {
-		case evDone:
-			if e.rg.live && e.rg.seq == e.seq {
-				e.rg.live = false
-				delete(busy, e.worker)
-			}
-			for id, wr := range e.results {
-				if wr.Err != "" {
-					// Deterministic simulation error, or a worker-side
-					// panic: the local run resolves either (surfacing the
-					// former as this sweep's failure).
-					c.o.Logf("dist: worker %s: job %d failed (%s), resolving locally", e.worker.base, id, wr.Err)
-					if c.o.DisableLocal {
-						return fmt.Errorf("dist: worker %s: job %d: %s", e.worker.base, id, wr.Err)
-					}
-					queueLocal(id)
-					continue
-				}
-				r, err := decodeResults(wr.Results, wr.NonFinite)
-				if err != nil {
-					return err
-				}
-				if err := complete(id, r, e.worker.base); err != nil {
-					return err
-				}
-			}
-		case evFail:
-			if runCtx.Err() != nil {
-				break // request aborted by our own shutdown path
-			}
-			if e.rg.live && e.rg.seq == e.seq {
-				e.rg.live = false
-				delete(busy, e.worker)
-				c.pool.markDown(e.worker, e.err)
-				if err := requeue(e.rg, e.err); err != nil {
-					return err
-				}
-			}
-			// A stale failure (already abandoned) changes nothing: the
-			// range was re-queued when the abandon fired.
-		case evAbandon:
-			if e.rg.live && e.rg.seq == e.seq {
-				e.rg.live = false
-				delete(busy, e.worker)
-				// The request keeps running — if its reply arrives first it
-				// still wins; meanwhile the range races it on another
-				// worker. Mark the slow worker down so nothing else is
-				// dispatched to it until it answers a probe again.
-				c.pool.markDown(e.worker, errAbandoned)
-				if err := requeue(e.rg, errAbandoned); err != nil {
-					return err
-				}
-			}
-		case evReady:
-			if !allDone(e.rg) {
-				pending = append(pending, e.rg)
-			}
-		case evUp:
-			// Worker rejoined; tryDispatch below hands it work.
-		case evLocal:
-			if e.err != nil {
-				return e.err
-			}
-			if err := complete(e.jobID, e.res, "local"); err != nil {
-				return err
-			}
-		}
-		if err := tryDispatch(); err != nil {
-			return err
-		}
-	}
-	return nil
+	// A duplicate that landed after its job completed fails the sweep too.
+	return c.failure()
 }
 
-// buildRanges cuts the plan's slots into dispatch ranges: consecutive
-// portable slots are batched until chunkJobs physical jobs accumulate (a
-// single larger slot still travels whole — ranges are always slot-aligned);
-// slots with non-portable jobs become local-pinned ranges. Also returns
-// the job-index → range mapping.
-func buildRanges(p *dynlb.Plan, chunkJobs int) ([]*jobRange, []*jobRange) {
-	var ranges []*jobRange
-	rangeOf := make([]*jobRange, p.NumJobs())
-	var cur *jobRange
-	flush := func() {
-		if cur != nil {
-			ranges = append(ranges, cur)
-			cur = nil
+var (
+	errAbandoned   = errors.New("dist: request exceeded RequestTimeout (abandoned, not cancelled)")
+	errNoLive      = errors.New("dist: no live workers")
+	errNotPortable = errors.New("dist: job is not portable")
+)
+
+// reply is the outcome of one dispatched copy of a job.
+type reply struct {
+	n   int // dispatch number of the copy, from 1
+	w   *client
+	res wireResult
+	err error
+}
+
+// RunJob executes plan job i on the fleet and stores its Results in the
+// plan (Plan.SetJobResult), exactly as Plan.RunJob would have. It is safe
+// for concurrent use with distinct job indices.
+//
+// The job goes to the live worker with the fewest jobs in flight. A
+// worker whose request fails is marked down; a request that exceeds
+// RequestTimeout is abandoned without being cancelled, and its worker
+// marked down too. Either way the job is dispatched again after Backoff,
+// for up to MaxAttempts attempts. The first copy to succeed is accepted;
+// later ones are byte-verified against it and counted as duplicates. A
+// duplicate that differs means the fleet no longer computes a pure
+// function of the job (a worker running another build, say): this and
+// every later RunJob and ExecutePlan then fail.
+//
+// The job runs locally instead when it is not portable, when no worker is
+// live, when a worker reports that the job itself failed, or when its
+// attempts run out — unless DisableLocal is set, which makes each of
+// those an error.
+func (c *Coordinator) RunJob(ctx context.Context, p *dynlb.Plan, i int) error {
+	_, err := c.runJob(ctx, p, i)
+	return err
+}
+
+// runJob is RunJob, also returning where the job ran.
+func (c *Coordinator) runJob(ctx context.Context, p *dynlb.Plan, i int) (JobPlacement, error) {
+	pl := JobPlacement{Job: i, Slot: p.SlotOf(i), Worker: "local"}
+	if err := c.failure(); err != nil {
+		return pl, err
+	}
+	var (
+		// Each copy sends one reply and at most MaxAttempts copies go out,
+		// so no send blocks, even after runJob returned.
+		replies = make(chan reply, c.o.MaxAttempts)
+		pending int // copies sent and not yet replied
+		why     = errNotPortable
+	)
+	if j, ok := encodeJob(p, i); ok {
+		var (
+			cur   *client            // worker of the awaited copy; nil while backing off
+			tries int                // failed attempts so far
+			timer = time.NewTimer(0) // the first copy goes out at once
+		)
+		defer timer.Stop()
+		// again arms the timer for the next attempt after one failed for
+		// err, or reports false when the job has no attempts left.
+		again := func(err error) bool {
+			why = err
+			if tries++; tries >= c.o.MaxAttempts {
+				return false
+			}
+			delay := c.o.Backoff.Delay(tries - 1)
+			c.o.Logf("dist: job %d re-dispatching in %v (%v)", i, delay, err)
+			c.count(func(r *Report) { r.Redispatches++ })
+			timer.Reset(delay)
+			return true
+		}
+	remote:
+		for {
+			select {
+			case <-ctx.Done():
+				return pl, ctx.Err()
+			case <-timer.C:
+				if cur != nil {
+					// The copy is abandoned but keeps running: its reply
+					// still wins if it lands first.
+					c.pool.markDown(cur, errAbandoned)
+					cur = nil
+					if !again(errAbandoned) {
+						break remote
+					}
+					continue
+				}
+				if cur = c.pool.acquire(); cur == nil {
+					// A dead fleet runs the job here at once, unless local
+					// execution is disabled: then wait for a worker to
+					// come back.
+					if !c.o.DisableLocal || !again(errNoLive) {
+						why = errNoLive
+						break remote
+					}
+					continue
+				}
+				pl.Attempts++
+				pending++
+				go func(w *client, n int) {
+					res, err := w.run(ctx, j)
+					c.pool.release(w)
+					replies <- reply{n, w, res, err}
+				}(cur, pl.Attempts)
+				timer.Reset(c.o.RequestTimeout)
+			case r := <-replies:
+				pending--
+				switch {
+				case r.err != nil:
+					if ctx.Err() != nil {
+						return pl, ctx.Err() // the request died with our context, not its worker
+					}
+					if cur == nil || r.n != pl.Attempts {
+						continue // an abandoned copy, already dispatched again
+					}
+					c.pool.markDown(r.w, r.err)
+					cur = nil
+					if !again(r.err) {
+						break remote
+					}
+				case r.res.Err != "":
+					// The job itself failed, deterministically (running it
+					// locally reproduces the error) or by a worker panic
+					// (running it locally resolves it): retrying it on
+					// another worker cannot help.
+					why = fmt.Errorf("dist: worker %s: job %d: %s", r.w.base, i, r.res.Err)
+					break remote
+				default:
+					res, err := decodeResults(r.res.Results, r.res.NonFinite)
+					if err != nil {
+						why = fmt.Errorf("dist: worker %s: job %d: %w", r.w.base, i, err)
+						break remote
+					}
+					p.SetJobResult(i, res)
+					pl.Worker = r.w.base
+					c.verifyLate(i, res, replies, pending)
+					return pl, nil
+				}
+			}
 		}
 	}
-	for s := 0; s < p.NumSlots(); s++ {
-		first, n := p.SlotRange(s)
-		jobs := make([]wireJob, 0, n)
-		portable := true
-		for i := first; i < first+n; i++ {
-			j, ok := encodeJob(p, i)
-			if !ok {
-				portable = false
-				break
-			}
-			jobs = append(jobs, j)
-		}
-		ids := make([]int, 0, n)
-		for i := first; i < first+n; i++ {
-			ids = append(ids, i)
-		}
-		if !portable {
-			flush()
-			rg := &jobRange{id: len(ranges), jobIDs: ids, local: true}
-			ranges = append(ranges, rg)
-			for _, i := range ids {
-				rangeOf[i] = rg
-			}
-			continue
-		}
-		if cur == nil {
-			cur = &jobRange{id: len(ranges)}
-		}
-		cur.jobs = append(cur.jobs, jobs...)
-		cur.jobIDs = append(cur.jobIDs, ids...)
-		for _, i := range ids {
-			rangeOf[i] = cur
-		}
-		if len(cur.jobIDs) >= chunkJobs {
-			flush()
-		}
+	if c.o.DisableLocal {
+		return pl, fmt.Errorf("dist: job %d: %w, and local execution is disabled", i, why)
 	}
-	flush()
-	return ranges, rangeOf
+	c.o.Logf("dist: job %d running locally: %v", i, why)
+	c.count(func(r *Report) { r.LocalJobs++ })
+	if err := p.RunJob(i); err != nil {
+		return pl, err
+	}
+	c.verifyLate(i, p.JobResult(i), replies, pending)
+	return pl, nil
+}
+
+// verifyLate checks, in the background, the pending copies of job i still
+// in flight against its accepted result: each one that succeeds is a
+// duplicate, and one that differs breaks the coordinator.
+func (c *Coordinator) verifyLate(i int, accepted dynlb.Results, replies <-chan reply, pending int) {
+	if pending == 0 {
+		return
+	}
+	go func() {
+		for ; pending > 0; pending-- {
+			r := <-replies
+			if r.err != nil || r.res.Err != "" {
+				continue
+			}
+			dup, err := decodeResults(r.res.Results, r.res.NonFinite)
+			if err != nil {
+				continue
+			}
+			err = verifySameResults(accepted, dup, i)
+			c.mu.Lock()
+			c.rep.Duplicates++
+			if err != nil && c.broken == nil {
+				c.broken = err
+			}
+			c.mu.Unlock()
+		}
+	}()
+}
+
+// count applies fn to the current report under the coordinator's lock.
+func (c *Coordinator) count(fn func(*Report)) {
+	c.mu.Lock()
+	fn(c.rep)
+	c.mu.Unlock()
+}
+
+// failure returns the determinism violation that broke the coordinator,
+// if any.
+func (c *Coordinator) failure() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.broken
 }
 
 // verifySameResults asserts that a duplicate delivery of job id matches

@@ -1,35 +1,35 @@
-// Package dist shards the execution of a compiled dynlb experiment Plan
-// across a fleet of remote workers over plain HTTP/JSON.
+// Package dist runs the jobs of a compiled dynlb experiment Plan on a
+// fleet of remote workers over plain HTTP/JSON.
 //
 // The topology is a single coordinator plus N stateless workers (cmd/
-// dynlbworker). The coordinator plans an experiment once, cuts the plan's
-// slot ranges into contiguous chunks, and feeds them through a shared
-// range queue that the per-worker drivers claim from — work-stealing falls
-// out naturally, because a fast worker returns sooner and simply claims
-// the next range. Each dispatched job travels as its exact simulation
-// inputs (the fully resolved Config plus the strategy's wire name), the
-// worker simulates it with the same engine the library uses, and the
-// Results travel back in a lossless JSON envelope. Completions are merged
-// through the Plan's Start/Complete hooks, so rows assemble in the
-// library's deterministic order and the merged output is bit-identical to
-// local execution at any worker count or placement — the per-slot
-// splitmix64 seed discipline makes every job a pure function of its wire
-// form.
+// dynlbworker). The unit of dispatch is one physical job: it travels as
+// its exact simulation inputs (the fully resolved Config plus the
+// strategy's wire name), the worker simulates it with the same engine the
+// library uses, and the Results travel back in a lossless JSON envelope.
+// Coordinator.RunJob is the fleet's only per-job runner; it sends each job
+// to the live worker with the fewest jobs in flight. ExecutePlan drives a
+// whole plan through dynlb.Plan.Execute with one job in flight per live
+// worker, so a fast worker simply comes back for the next job sooner.
+// Completions fold through the Plan's Complete hook, so rows assemble in
+// the library's deterministic order and the merged output is
+// bit-identical to local execution at any worker count or placement — the
+// per-slot splitmix64 seed discipline makes every job a pure function of
+// its wire form.
 //
-// Failure tolerance: a worker death or timeout re-dispatches the range to
-// a live worker after a capped exponential backoff (internal/retry), dead
-// workers are re-probed in the background and rejoin when healthy,
-// duplicate completions are idempotently dropped (first result wins, and
-// byte-equality is asserted when both copies arrive), and when no workers
-// are reachable — or a range exhausts its remote attempts — the
-// coordinator degrades gracefully to local execution, so a sweep always
-// terminates with the same rows.
+// Failure tolerance: a worker that fails a request is marked down and
+// re-probed in the background until it rejoins; a request that exceeds
+// RequestTimeout is abandoned, not cancelled, and the job is re-dispatched
+// after a capped exponential backoff (internal/retry). The first copy of a
+// job to arrive is accepted; later copies are byte-verified against it and
+// counted as duplicates, and a mismatch fails the run. When the job is not
+// portable, no worker is live, or its remote attempts run out, it runs
+// on the coordinator instead, so a sweep always terminates with the same
+// rows.
 //
-// The same fleet also backs the dynlbd service: Pool.RunPlanJob is a
-// per-job remote executor with local failover that internal/service's
-// scheduler routes claimed slots through (Scheduler.UseRemote), fanning a
-// daemon's jobs out to the workers while keeping its round-robin fairness
-// and result cache intact.
+// The same runner backs the dynlbd service: internal/service's scheduler
+// routes its claimed slots through Coordinator.RunJob
+// (Scheduler.UseRemote), fanning a daemon's jobs out to the workers while
+// keeping its round-robin fairness and result cache intact.
 package dist
 
 import (
@@ -56,14 +56,8 @@ type Options struct {
 	// bound every call).
 	Client *http.Client
 
-	// ChunkJobs caps the physical jobs per dispatched range (>= 1). Ranges
-	// are always slot-aligned — a slot's jobs never split across workers —
-	// and one slot with more jobs than the cap still travels whole.
-	// Default 4.
-	ChunkJobs int
-
 	// RequestTimeout is how long the coordinator waits for a dispatched
-	// range before abandoning it: the range re-queues for another worker
+	// job before abandoning it: the job is re-dispatched to another worker
 	// while the original request keeps running in the background, so a
 	// slow-but-alive worker's result is not wasted — whichever copy lands
 	// first wins and the loser is dropped as a duplicate. Default 2m.
@@ -72,21 +66,22 @@ type Options struct {
 	// ProbeTimeout bounds a single health probe. Default 2s.
 	ProbeTimeout time.Duration
 
-	// MaxAttempts is the number of remote dispatch attempts per range
-	// before it falls back to local execution (which also surfaces any
+	// MaxAttempts is the number of remote attempts per job before it
+	// falls back to local execution (which also surfaces any
 	// deterministic job error instead of retrying it forever). Default 3.
 	MaxAttempts int
 
-	// Backoff delays a range's re-dispatch after a failed attempt.
+	// Backoff delays a job's re-dispatch after a failed attempt.
 	// Default 200ms doubling to 5s.
 	Backoff retry.Backoff
 
-	// LocalWorkers is the parallelism of the coordinator's local fallback
-	// executor. Default runtime.NumCPU().
+	// LocalWorkers is the number of jobs ExecutePlan keeps in flight when
+	// no worker answers its initial probe. Default runtime.NumCPU().
 	LocalWorkers int
 
-	// DisableLocal makes an unreachable fleet (or an exhausted range) a
-	// hard error instead of degrading to local execution. Intended for
+	// DisableLocal makes a job that cannot run remotely a hard error
+	// instead of running it locally. A job that finds no live worker then
+	// waits for one to come back, within its MaxAttempts. Intended for
 	// tests and benchmarks that must prove the remote path ran.
 	DisableLocal bool
 
@@ -100,9 +95,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Client == nil {
 		o.Client = &http.Client{}
-	}
-	if o.ChunkJobs < 1 {
-		o.ChunkJobs = 4
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 2 * time.Minute

@@ -3,16 +3,20 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dynlb"
 	"dynlb/internal/retry"
+	"dynlb/internal/service"
 )
 
 // tinySweep returns a small but non-trivial experiment: 2 strategies × 3
@@ -68,7 +72,6 @@ func TestDistributedBitIdentical(t *testing.T) {
 
 	coord := New(Options{
 		Workers:      []string{w1.URL, w2.URL},
-		ChunkJobs:    2,
 		DisableLocal: true, // prove the remote path ran
 	})
 	defer coord.Close()
@@ -94,8 +97,8 @@ func TestDistributedBitIdentical(t *testing.T) {
 		t.Fatalf("LocalJobs = %d, want 0 with DisableLocal", rep.LocalJobs)
 	}
 	seen := map[string]int{}
-	for _, s := range rep.Slots {
-		seen[s.Worker]++
+	for _, j := range rep.Jobs {
+		seen[j.Worker]++
 	}
 	if len(seen) != 2 {
 		t.Fatalf("placement used %d workers (%v), want both", len(seen), seen)
@@ -103,7 +106,7 @@ func TestDistributedBitIdentical(t *testing.T) {
 }
 
 // crashingHandler proxies to a real worker but hard-drops every connection
-// after the first okAfter successful job batches — the coordinator sees a
+// after the first okAfter successful job requests — the coordinator sees a
 // mid-sweep worker death and must re-dispatch to the survivor.
 type crashingHandler struct {
 	inner   http.Handler
@@ -128,7 +131,7 @@ func (h *crashingHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 }
 
 // TestWorkerDeathRedispatch kills one of two workers after its first job
-// batch; the sweep must still complete with rows bit-identical to local
+// request; the sweep must still complete with rows bit-identical to local
 // execution, exercising the re-dispatch path (asserted via the report).
 func TestWorkerDeathRedispatch(t *testing.T) {
 	want := rowBytes(t, localRows(t))
@@ -140,8 +143,7 @@ func TestWorkerDeathRedispatch(t *testing.T) {
 	defer crashing.Close()
 
 	coord := New(Options{
-		Workers:   []string{healthy.URL, crashing.URL},
-		ChunkJobs: 2,
+		Workers: []string{healthy.URL, crashing.URL},
 		// DisableLocal keeps the re-dispatch remote, proving the failover
 		// lands on the healthy worker rather than the local fallback.
 		DisableLocal: true,
@@ -164,9 +166,9 @@ func TestWorkerDeathRedispatch(t *testing.T) {
 	if rep.Redispatches == 0 {
 		t.Fatalf("Redispatches = 0, want > 0 (crash not exercised); report %+v", rep)
 	}
-	for _, s := range rep.Slots {
-		if s.Worker == "local" {
-			t.Fatalf("slot %d ran locally despite DisableLocal", s.Slot)
+	for _, j := range rep.Jobs {
+		if j.Worker == "local" {
+			t.Fatalf("job %d ran locally despite DisableLocal", j.Job)
 		}
 	}
 }
@@ -194,16 +196,16 @@ func TestNoWorkersLocalFallback(t *testing.T) {
 		if rep.LiveAtStart != 0 {
 			t.Fatalf("workers=%v: LiveAtStart = %d, want 0", workers, rep.LiveAtStart)
 		}
-		for _, s := range rep.Slots {
-			if s.Worker != "local" {
-				t.Fatalf("workers=%v: slot %d placed on %q, want local", workers, s.Slot, s.Worker)
+		for _, j := range rep.Jobs {
+			if j.Worker != "local" {
+				t.Fatalf("workers=%v: job %d placed on %q, want local", workers, j.Job, j.Worker)
 			}
 		}
 		coord.Close()
 	}
 }
 
-// slowOnce delays the first job batch long past the coordinator's
+// slowOnce delays the first job request long past the coordinator's
 // RequestTimeout but answers it eventually, forcing the abandoned
 // request's late reply to collide with the re-dispatched copy — a genuine
 // duplicate completion.
@@ -221,7 +223,7 @@ func (h *slowOnce) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 }
 
 // TestLateDuplicateDropped exercises the abandon-without-cancel path: the
-// slow worker's reply arrives after the range was re-dispatched, so one
+// slow worker's reply arrives after the job was re-dispatched, so one
 // copy must be dropped (byte-verified) and the rows stay bit-identical.
 func TestLateDuplicateDropped(t *testing.T) {
 	want := rowBytes(t, localRows(t))
@@ -234,7 +236,6 @@ func TestLateDuplicateDropped(t *testing.T) {
 
 	coord := New(Options{
 		Workers:        []string{sl.URL, fast.URL},
-		ChunkJobs:      2,
 		RequestTimeout: 200 * time.Millisecond,
 		Backoff:        retry.Backoff{Base: 10 * time.Millisecond, Cap: 20 * time.Millisecond},
 		MaxAttempts:    10,
@@ -251,11 +252,88 @@ func TestLateDuplicateDropped(t *testing.T) {
 	if got := rowBytes(t, rows); !bytes.Equal(got, want) {
 		t.Fatal("rows with duplicate completion differ from local rows")
 	}
-	// The slow request is only a duplicate if its range re-ran elsewhere
+	// The slow request is only a duplicate if its job re-ran elsewhere
 	// before the late reply landed; with a 1.5 s delay vs a 200 ms abandon
 	// that is deterministic in practice.
 	if rep := coord.Report(); rep.Duplicates == 0 && rep.Redispatches == 0 {
 		t.Fatalf("neither duplicates nor redispatches recorded: %+v", rep)
+	}
+}
+
+// lyingOnce stalls its first job request past the coordinator's
+// RequestTimeout and then answers it with wrong Results.
+type lyingOnce struct {
+	inner http.Handler
+	n     atomic.Int64
+	delay time.Duration
+	lied  chan struct{} // closed once the wrong answer is written
+}
+
+func (h *lyingOnce) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
+	if req.URL.Path != "/v1/jobs" || h.n.Add(1) != 1 {
+		h.inner.ServeHTTP(rw, req)
+		return
+	}
+	defer close(h.lied)
+	var j wireJob
+	if err := json.NewDecoder(req.Body).Decode(&j); err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
+	}
+	time.Sleep(h.delay)
+	raw, patches, err := encodeResults(dynlb.Results{Strategy: j.Strategy})
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	json.NewEncoder(rw).Encode(wireResult{ID: j.ID, Results: raw, NonFinite: patches})
+}
+
+// TestLateMismatchFails: two copies of one job that differ are a
+// determinism violation, even when one of them lands after RunJob
+// returned; every later run on the coordinator must fail with it.
+func TestLateMismatchFails(t *testing.T) {
+	liar := &lyingOnce{inner: NewWorker(2), delay: 300 * time.Millisecond, lied: make(chan struct{})}
+	sl := httptest.NewServer(liar)
+	defer sl.Close()
+	fast := httptest.NewServer(NewWorker(2))
+	defer fast.Close()
+
+	coord := New(Options{
+		Workers:        []string{sl.URL, fast.URL},
+		RequestTimeout: 100 * time.Millisecond,
+		Backoff:        retry.Backoff{Base: 10 * time.Millisecond, Cap: 20 * time.Millisecond},
+		MaxAttempts:    10,
+		DisableLocal:   true,
+	})
+	defer coord.Close()
+
+	p, err := tinySweep().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.RunJob(context.Background(), p, 0); err != nil {
+		t.Fatalf("RunJob(0): %v", err)
+	}
+	select {
+	case <-liar.lied:
+	case <-time.After(time.Minute):
+		t.Fatal("the stalled copy was never answered")
+	}
+	// The late copy is verified in the background.
+	for deadline := time.Now().Add(time.Minute); coord.Report().Duplicates == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the late copy was never verified")
+		}
+	}
+	err = coord.RunJob(context.Background(), p, 1)
+	if err == nil || !strings.Contains(err.Error(), "determinism violation") {
+		t.Fatalf("RunJob after a mismatching duplicate: %v, want a determinism violation", err)
+	}
+	exp := tinySweep()
+	dynlb.WithDistributed(coord)(exp)
+	if _, err := exp.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "determinism violation") {
+		t.Fatalf("sweep after a mismatching duplicate: %v, want a determinism violation", err)
 	}
 }
 
@@ -354,9 +432,11 @@ type opaqueStrategy struct{ dynlb.Strategy }
 
 func (opaqueStrategy) Name() string { return "MIN-IO" } // lies about its identity
 
-// TestPoolRunPlanJob drives the service-backend path: per-job remote
-// execution with failover, storing results in the plan.
-func TestPoolRunPlanJob(t *testing.T) {
+// TestCoordinatorRunJob drives the per-job runner by hand, as the service
+// backend does: remote execution with failover, storing results in the
+// plan. The dead worker is listed first, so the first dispatch lands on it
+// and fails over on every run.
+func TestCoordinatorRunJob(t *testing.T) {
 	srv := httptest.NewServer(NewWorker(2))
 	defer srv.Close()
 	dead := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
@@ -364,11 +444,11 @@ func TestPoolRunPlanJob(t *testing.T) {
 	}))
 	defer dead.Close()
 
-	pool := NewPool(Options{
+	coord := New(Options{
 		Workers: []string{dead.URL, srv.URL},
 		Backoff: retry.Backoff{Base: 5 * time.Millisecond, Cap: 10 * time.Millisecond},
 	})
-	defer pool.Close()
+	defer coord.Close()
 
 	p, err := tinySweep().Plan()
 	if err != nil {
@@ -379,8 +459,8 @@ func TestPoolRunPlanJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < p.NumJobs(); i++ {
-		if err := pool.RunPlanJob(context.Background(), p, i); err != nil {
-			t.Fatalf("RunPlanJob(%d): %v", i, err)
+		if err := coord.RunJob(context.Background(), p, i); err != nil {
+			t.Fatalf("RunJob(%d): %v", i, err)
 		}
 		batch, err := p.Complete(i)
 		if err != nil {
@@ -392,9 +472,151 @@ func TestPoolRunPlanJob(t *testing.T) {
 		t.Fatal("plan not done")
 	}
 	if got, want := rowBytes(t, rows), rowBytes(t, localRows(t)); !bytes.Equal(got, want) {
-		t.Fatal("pool-executed rows differ from local rows")
+		t.Fatal("coordinator-executed rows differ from local rows")
 	}
-	if pool.NumLive() != 1 {
-		t.Fatalf("NumLive = %d after failover, want 1 (dead worker stays down)", pool.NumLive())
+	if n := coord.Pool().NumLive(); n != 1 {
+		t.Fatalf("NumLive = %d after failover, want 1 (dead worker stays down)", n)
+	}
+	if rep := coord.Report(); rep.Redispatches == 0 {
+		t.Fatalf("Redispatches = 0, want > 0 (failover not exercised); report %+v", rep)
+	}
+}
+
+// meetHandler holds each job request until the other worker of its pair
+// has received one too, or until timeout passes.
+type meetHandler struct {
+	inner   http.Handler
+	arrived chan struct{} // closed on the first job request
+	once    sync.Once
+	other   *meetHandler
+	jobs    atomic.Int64
+	timeout time.Duration
+}
+
+func (h *meetHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
+	if req.URL.Path == "/v1/jobs" {
+		h.jobs.Add(1)
+		h.once.Do(func() { close(h.arrived) })
+		select {
+		case <-h.other.arrived:
+		case <-time.After(h.timeout):
+			http.Error(rw, "the other worker received no job", http.StatusGatewayTimeout)
+			return
+		}
+	}
+	h.inner.ServeHTTP(rw, req)
+}
+
+// TestRunJobSpreadsAcrossWorkers: concurrent RunJob calls must land on
+// different idle workers. Each single-slot worker holds its request until
+// the other has one too, so two calls that picked the same worker time out
+// instead of meeting.
+func TestRunJobSpreadsAcrossWorkers(t *testing.T) {
+	a := &meetHandler{inner: NewWorker(1), arrived: make(chan struct{}), timeout: 10 * time.Second}
+	b := &meetHandler{inner: NewWorker(1), arrived: make(chan struct{}), timeout: 10 * time.Second, other: a}
+	a.other = b
+	sa := httptest.NewServer(a)
+	defer sa.Close()
+	sb := httptest.NewServer(b)
+	defer sb.Close()
+
+	coord := New(Options{
+		Workers:      []string{sa.URL, sb.URL},
+		MaxAttempts:  1,
+		DisableLocal: true,
+	})
+	defer coord.Close()
+
+	p, err := tinySweep().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = coord.RunJob(context.Background(), p, i)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("RunJob(%d): %v", i, err)
+		}
+	}
+	if na, nb := a.jobs.Load(), b.jobs.Load(); na != 1 || nb != 1 {
+		t.Fatalf("workers received %d and %d jobs, want 1 each", na, nb)
+	}
+}
+
+// TestSchedulerRemoteFailover drives dynlbd -dist's path through a
+// timeout: a scheduler whose slots run through Coordinator.RunJob, against
+// one worker that stalls its first job past RequestTimeout and one fast
+// worker. The job must finish with rows byte-identical to a local run, and
+// the report must show the stalled request was re-dispatched or its late
+// copy verified.
+func TestSchedulerRemoteFailover(t *testing.T) {
+	slow := &slowOnce{inner: NewWorker(2), delay: 1500 * time.Millisecond}
+	sl := httptest.NewServer(slow)
+	defer sl.Close()
+	fast := httptest.NewServer(NewWorker(2))
+	defer fast.Close()
+
+	coord := New(Options{
+		Workers:        []string{sl.URL, fast.URL},
+		RequestTimeout: 200 * time.Millisecond,
+		Backoff:        retry.Backoff{Base: 10 * time.Millisecond, Cap: 20 * time.Millisecond},
+		MaxAttempts:    10,
+		DisableLocal:   true,
+	})
+	defer coord.Close()
+	sched := service.New(2, 4, 0)
+	defer sched.Close()
+	sched.UseRemote(coord.RunJob)
+
+	seed := int64(7)
+	base := dynlb.DefaultConfig()
+	base.NPE = 8
+	base.JoinQPSPerPE = 0.1
+	base.Warmup = dynlb.Seconds(1)
+	base.MeasureTime = dynlb.Seconds(3)
+	req := &dynlb.ExperimentRequest{
+		Seed: &seed,
+		Reps: 2,
+		Sweep: &dynlb.SweepSpec{
+			Name:       "remote-failover",
+			Base:       &base,
+			Strategies: []string{"psu-opt+RANDOM", "MIN-IO-SUOPT"},
+			Axes:       []dynlb.AxisSpec{{Name: "#PE", Field: "NPE", Values: []float64{4, 6, 8}}},
+		},
+	}
+	exp, err := req.Experiment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exp.Run(context.Background())
+	if err != nil {
+		t.Fatalf("local run: %v", err)
+	}
+
+	j, err := sched.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(time.Minute):
+		t.Fatal("job did not finish within a minute")
+	}
+	if err := j.Err(); err != nil {
+		t.Fatalf("job failed: %v", err)
+	}
+	if !bytes.Equal(rowBytes(t, j.Rows()), rowBytes(t, want)) {
+		t.Fatal("scheduler rows through the fleet differ from local rows")
+	}
+	if rep := coord.Report(); rep.Duplicates == 0 && rep.Redispatches == 0 {
+		t.Fatalf("neither duplicates nor redispatches recorded: %+v", rep)
 	}
 }

@@ -2,40 +2,30 @@ package dist
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"time"
-
-	"dynlb"
 )
 
-// Pool tracks the health of a worker fleet and hands out clients. Workers
-// that fail a request are marked down and re-probed in the background with
-// the pool's backoff until they answer /healthz again, at which point they
-// rejoin the fleet (and the onUp hook, if set, is notified).
-//
-// Pool is also a standalone per-job executor: RunPlanJob runs one plan job
-// on the least-loaded live worker with failover and local fallback — the
-// execution backend internal/service's scheduler plugs in via UseRemote.
+// Pool tracks the health and load of a worker fleet. Workers that fail a
+// request are marked down and re-probed in the background with the pool's
+// backoff until they answer /healthz again, at which point they rejoin the
+// fleet.
 type Pool struct {
 	o Options
 
 	mu      sync.Mutex
-	clients []*client
+	clients []*client // in Options.Workers order
 	live    map[*client]bool
 	down    map[*client]bool // a prober goroutine is active for these
-	onUp    func(*client)
 
 	closed    chan struct{}
 	closeOnce sync.Once
 }
 
-// NewPool builds a pool over opts.Workers. All workers start presumed
-// live; call Probe to ground the presumption, or let the first failed
-// request correct it.
-func NewPool(opts Options) *Pool {
-	o := opts.withDefaults()
+// newPool builds a pool over o.Workers. All workers start presumed live;
+// call Probe to ground the presumption, or let the first failed request
+// correct it.
+func newPool(o Options) *Pool {
 	p := &Pool{
 		o:      o,
 		live:   make(map[*client]bool),
@@ -80,15 +70,6 @@ func (p *Pool) NumLive() int {
 // NumWorkers returns the configured fleet size.
 func (p *Pool) NumWorkers() int { return len(p.clients) }
 
-// setOnUp registers the recovered-worker hook (coordinator wakes its
-// dispatcher). Must be set before probers can fire, i.e. before any
-// request or Probe.
-func (p *Pool) setOnUp(fn func(*client)) {
-	p.mu.Lock()
-	p.onUp = fn
-	p.mu.Unlock()
-}
-
 // markDown removes c from the live set and starts its re-probe loop.
 // Idempotent while the prober is running.
 func (p *Pool) markDown(c *client, err error) {
@@ -120,41 +101,37 @@ func (p *Pool) probeUntilUp(c *client) {
 		p.mu.Lock()
 		delete(p.down, c)
 		p.live[c] = true
-		up := p.onUp
 		p.mu.Unlock()
 		p.o.Logf("dist: worker %s back up", c.base)
-		if up != nil {
-			up(c)
-		}
 		return
 	}
 }
 
-// pick returns the live worker with the fewest in-flight requests (ties
-// broken by URL so placement is reproducible), or nil when none are live.
-func (p *Pool) pick() *client {
+// acquire picks the live worker with the fewest requests in flight, ties
+// going to the earlier one in Options.Workers, and counts one more request
+// against it in the same critical section, so concurrent callers spread
+// across idle workers. It returns nil when no worker is live; otherwise
+// the caller must release the worker when its request returns.
+func (p *Pool) acquire() *client {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var best *client
-	var bestN int64
-	for c := range p.live {
-		n := c.inflight.Load()
-		if best == nil || n < bestN || (n == bestN && c.base < best.base) {
-			best, bestN = c, n
+	for _, c := range p.clients {
+		if p.live[c] && (best == nil || c.inflight < best.inflight) {
+			best = c
 		}
+	}
+	if best != nil {
+		best.inflight++
 	}
 	return best
 }
 
-// liveSet returns a snapshot of the live workers.
-func (p *Pool) liveSet() []*client {
+// release ends a request counted by acquire.
+func (p *Pool) release(c *client) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*client, 0, len(p.live))
-	for c := range p.live {
-		out = append(out, c)
-	}
-	return out
+	c.inflight--
+	p.mu.Unlock()
 }
 
 // Close stops the background probers and releases idle connections.
@@ -164,72 +141,4 @@ func (p *Pool) Close() {
 		close(p.closed)
 		p.o.Client.CloseIdleConnections()
 	})
-}
-
-// RunPlanJob executes plan job i remotely with failover: least-loaded live
-// worker first, marking failed workers down and backing off between
-// attempts, falling back to in-process execution when the job is not
-// portable, the fleet is dead, or remote attempts are exhausted (unless
-// Options.DisableLocal). On success the result is stored in the plan
-// (Plan.SetJobResult), exactly as Plan.RunJob would have.
-//
-// The method is safe for concurrent use with distinct job indices — the
-// contract of internal/service's per-slot runner, which plugs it in via
-// Scheduler.UseRemote.
-func (p *Pool) RunPlanJob(ctx context.Context, plan *dynlb.Plan, i int) error {
-	j, ok := encodeJob(plan, i)
-	if !ok {
-		if p.o.DisableLocal {
-			return fmt.Errorf("dist: job %d is not portable and local execution is disabled", i)
-		}
-		return plan.RunJob(i)
-	}
-	var lastErr error
-	for attempt := 0; attempt < p.o.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(p.o.Backoff.Delay(attempt - 1)):
-			}
-		}
-		c := p.pick()
-		if c == nil {
-			lastErr = errors.New("dist: no live workers")
-			break
-		}
-		rctx, cancel := context.WithTimeout(ctx, p.o.RequestTimeout)
-		c.inflight.Add(1)
-		res, err := c.run(rctx, []wireJob{j})
-		c.inflight.Add(-1)
-		cancel()
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			p.markDown(c, err)
-			lastErr = err
-			continue
-		}
-		wr := res[i]
-		if wr.Err != "" {
-			// A per-job error is either deterministic (the local fallback
-			// will reproduce it) or a worker-side panic (the local fallback
-			// will resolve it) — either way, stop retrying remotely.
-			lastErr = fmt.Errorf("dist: worker %s: job %d: %s", c.base, i, wr.Err)
-			break
-		}
-		r, err := decodeResults(wr.Results, wr.NonFinite)
-		if err != nil {
-			lastErr = err
-			break
-		}
-		plan.SetJobResult(i, r)
-		return nil
-	}
-	if p.o.DisableLocal {
-		return lastErr
-	}
-	p.o.Logf("dist: job %d falling back to local execution: %v", i, lastErr)
-	return plan.RunJob(i)
 }

@@ -10,8 +10,7 @@ import (
 )
 
 // Wire protocol between coordinator and workers. One POST /v1/jobs request
-// carries a batch of jobs (a slot-aligned range of the plan); the response
-// carries one wireResult per job, in any order (matched by ID).
+// carries one wireJob; the reply is its wireResult, matched by ID.
 //
 // A job travels as its exact simulation inputs: the fully resolved Config
 // and the strategy's wire name. Jobs are pure functions of that pair, so
@@ -32,11 +31,6 @@ type wireJob struct {
 	Strategy string `json:"strategy"`
 }
 
-// runRequest is the body of POST /v1/jobs.
-type runRequest struct {
-	Jobs []wireJob `json:"jobs"`
-}
-
 // wireResult carries one job's outcome.
 type wireResult struct {
 	ID int `json:"id"`
@@ -53,11 +47,6 @@ type wireResult struct {
 	// walk order of the Results value (walkFloat64s) and the value to
 	// restore there. The corresponding position in Results is encoded as 0.
 	NonFinite []nonFinite `json:"non_finite,omitempty"`
-}
-
-// runResponse is the body of a successful POST /v1/jobs reply.
-type runResponse struct {
-	Results []wireResult `json:"results"`
 }
 
 // nonFinite is one NaN/±Inf patch of a wireResult.

@@ -18,7 +18,7 @@ import (
 //
 // Endpoints:
 //
-//	POST /v1/jobs  — run a batch of jobs; body runRequest, reply runResponse.
+//	POST /v1/jobs  — run one job; body wireJob, reply wireResult.
 //	GET  /healthz  — liveness + load: {"status":"ok","slots":N,"busy":B,"jobs_done":D}.
 type Worker struct {
 	mux      *http.ServeMux
@@ -28,7 +28,7 @@ type Worker struct {
 }
 
 // NewWorker returns a worker executing at most slots simulations at once
-// (<= 0 selects runtime.NumCPU()). Batches beyond the limit queue on the
+// (<= 0 selects runtime.NumCPU()). Requests beyond the limit queue on the
 // shared semaphore, so an overloaded worker slows down rather than
 // oversubscribing its CPUs.
 func NewWorker(slots int) *Worker {
@@ -63,38 +63,31 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, _ *http.Request) {
 
 func (w *Worker) handleJobs(rw http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(req.Body)
+	// A coordinator newer than this worker fails loudly here instead of
+	// having Config fields it sets silently ignored.
 	dec.DisallowUnknownFields()
-	var in runRequest
-	if err := dec.Decode(&in); err != nil {
+	var j wireJob
+	if err := dec.Decode(&j); err != nil {
 		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	resp := runResponse{Results: make([]wireResult, len(in.Jobs))}
-	for i, j := range in.Jobs {
-		// The client waits for the whole batch anyway (ranges are the unit
-		// of dispatch), so jobs run sequentially here; parallelism comes
-		// from the coordinator keeping several ranges in flight per worker
-		// fleet. The semaphore still bounds concurrent simulations across
-		// overlapping requests.
-		select {
-		case w.sem <- struct{}{}:
-		case <-req.Context().Done():
-			return // coordinator gave up; nothing can read the reply
-		}
-		w.busy.Add(1)
-		resp.Results[i] = w.runOne(j)
-		w.busy.Add(-1)
-		<-w.sem
+	select {
+	case w.sem <- struct{}{}:
+	case <-req.Context().Done():
+		return // coordinator gave up; nothing can read the reply
 	}
+	w.busy.Add(1)
+	res := w.runOne(j)
+	w.busy.Add(-1)
+	<-w.sem
 	rw.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(rw).Encode(resp); err != nil {
-		// Connection-level failure; the coordinator's timeout handles it.
-		return
-	}
+	// An encode error is a connection-level failure; the coordinator's
+	// timeout handles it.
+	_ = json.NewEncoder(rw).Encode(res)
 }
 
 // runOne executes a single job, converting panics and simulation errors
-// into an error result so one bad job cannot take down the batch.
+// into an error result so one bad job cannot take down the worker.
 func (w *Worker) runOne(j wireJob) (res wireResult) {
 	res.ID = j.ID
 	defer func() {

@@ -1,13 +1,13 @@
 // Package retry provides the deterministic capped exponential backoff
 // policy shared by the simulation engine's fault-retry path (aborted
 // attempts re-entering the arrival flow after a simulated PE crash) and the
-// distributed coordinator's re-dispatch path (slot ranges re-sent after a
-// worker death or timeout).
+// distributed coordinator's re-dispatch path (jobs re-sent after a worker
+// death or timeout).
 //
 // The policy is intentionally jitter-free: the engine schedules backoff in
 // simulated time, where any randomness would perturb the seed-deterministic
 // event stream, and the coordinator's correctness never depends on delay
-// spreading (ranges re-dispatch to a different worker, not the same one).
+// spreading (jobs re-dispatch to a different worker, not the same one).
 package retry
 
 import "time"

@@ -239,7 +239,7 @@ func (s *Scheduler) Workers() int { return s.workers }
 // because jobs are pure functions of their plan inputs wherever they run.
 // Call UseRemote before the first Submit; distinct slots may be claimed
 // concurrently, so run must be safe for concurrent calls with distinct
-// indices (dist.Pool.RunPlanJob is).
+// indices (dist.Coordinator.RunJob is).
 func (s *Scheduler) UseRemote(run func(ctx context.Context, p *dynlb.Plan, i int) error) {
 	s.mu.Lock()
 	s.runSlot = func(j *Job, i int) error { return run(j.ctx, j.plan, i) }

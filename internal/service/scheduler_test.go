@@ -429,8 +429,8 @@ func TestClose(t *testing.T) {
 
 // TestUseRemote: a scheduler with an external slot executor must route
 // every claimed slot through it and still produce rows identical to the
-// default in-process executor — the contract dist.Pool.RunPlanJob plugs
-// into.
+// default in-process executor — the contract dist.Coordinator.RunJob
+// plugs into.
 func TestUseRemote(t *testing.T) {
 	want := func() []dynlb.Row {
 		s := New(2, 4, 0)
@@ -452,7 +452,7 @@ func TestUseRemote(t *testing.T) {
 		}
 		calls.Add(1)
 		// Stand-in for a remote worker: compute the job from its exact
-		// inputs and store the result, exactly like dist.Pool.RunPlanJob.
+		// inputs and store the result, exactly like dist.Coordinator.RunJob.
 		cfg, st := p.Job(i)
 		r, err := dynlb.Run(cfg, st)
 		if err != nil {
