@@ -9,7 +9,8 @@
 // divides the delta by the client count. Two process models are measured:
 //
 //	proc  — each client is a spawned Proc blocked in Wait: one pooled
-//	        worker goroutine, one resume channel, one calendar event.
+//	        worker coroutine (its goroutine stack and iter.Pull state),
+//	        one calendar event.
 //	light — each client is a run-to-completion event chain (the SpawnFn
 //	        style): one closure and one calendar event, no goroutine.
 //

@@ -245,6 +245,11 @@ func FixedDegree(p int, selection string) (Strategy, error) {
 }
 
 // Run simulates cfg under the strategy and returns the windowed results.
+// A panic inside the simulation — in a custom Strategy's Decide, say —
+// propagates to Run's caller after the simulation is torn down. When it
+// arose in a simulated process's context, the panic value is an error
+// naming the process, carrying the stack of the panic site, and unwrapping
+// to the original value when that is an error.
 func Run(cfg Config, s Strategy) (Results, error) {
 	sys, err := engine.New(cfg, s)
 	if err != nil {

@@ -1,9 +1,14 @@
 package dynlb
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"dynlb/internal/sim"
 )
 
 func quickConfig() Config {
@@ -108,6 +113,44 @@ func TestCustomStrategy(t *testing.T) {
 	}
 	if res.Strategy != "custom-least-busy" {
 		t.Errorf("strategy = %q", res.Strategy)
+	}
+}
+
+var errDecide = errors.New("decide failed")
+
+// panicky is a custom strategy whose Decide panics. The control node calls
+// Decide inside the simulation, in a light process.
+type panicky struct{}
+
+func (panicky) Name() string { return "custom-panicky" }
+func (panicky) Decide(QueryInfo, *View, *rand.Rand) Decision {
+	panic(errDecide)
+}
+
+// TestStrategyPanicRecoverable: a panic in a user strategy reaches Run's
+// caller, where it can be recovered (the service scheduler and the fleet
+// worker rely on this to contain a bad job), with the panic site's stack
+// when it arose in a process's context, and leaves no goroutine behind.
+func TestStrategyPanicRecoverable(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		Run(quickConfig(), panicky{})
+	}()
+	err, _ := r.(error)
+	if !errors.Is(err, errDecide) {
+		t.Fatalf("Run panicked with %v, want errDecide", r)
+	}
+	if pp, ok := r.(*sim.ProcPanic); ok && !strings.Contains(string(pp.Stack), "panicky.Decide") {
+		t.Errorf("ProcPanic.Stack does not show Decide:\n%s", pp.Stack)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("%d goroutines alive after the recovered panic, %d before Run", g, before)
 	}
 }
 

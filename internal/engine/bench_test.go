@@ -42,8 +42,8 @@ func BenchmarkOLTPTransactionParked(b *testing.B) { benchOLTP(b, false) }
 // benchOLTPSpawned measures the arrival-loop shape — one process spawned
 // per transaction, exactly what startWorkload's open OLTP loop does — so
 // process birth is part of ns/op. With pooling the spawn hands the body to
-// a parked worker; the Unpooled variant pays a fresh goroutine, Proc and
-// resume channel per transaction (the pre-pool behavior).
+// a parked worker; the Unpooled variant pays a fresh coroutine and Proc
+// per transaction (the pre-pool behavior).
 func benchOLTPSpawned(b *testing.B, pooled bool) {
 	cfg := config.Default()
 	cfg.NPE = 2

@@ -65,8 +65,11 @@ func (pe *PE) stretchCPU(d sim.Duration) sim.Duration {
 
 // computeT charges a pre-converted CPU duration (see costT). The inner
 // loops batch their loop-invariant instruction counts into durations once
-// per run; each charge is then a single uncontended Server.Use, which the
-// kernel's continuation fast path executes without a goroutine switch.
+// per run; each charge is then a single Server.Use. The kernel's
+// continuation fast path resumes the process without a switch when its own
+// wake-up is the next event; when another process's event comes first —
+// the common case in a multi-user run — the hold costs a coroutine switch
+// through the root Run loop.
 //
 // The skip sentinel (d < 0, see newCostT) mirrors compute's instr <= 0
 // guard exactly: a positive instruction count whose duration rounds to

@@ -127,8 +127,15 @@ func (s *System) oltpNodes() []int {
 }
 
 // Run executes the configured workload: warm-up, then the measurement
-// window, returning the aggregated results.
+// window, returning the aggregated results. A panic inside the simulation
+// (a sim.ProcPanic when it arose in a process's context) propagates to the
+// caller after the kernel is shut down.
 func (s *System) Run() Results {
+	// Tear the process model down once the metrics are read, or when the
+	// simulation panics: kill the live processes and dismiss the worker
+	// pool, so a sweep of many Systems — or a recovered panic — leaves no
+	// parked coroutines behind.
+	defer s.k.Shutdown()
 	s.startReporters()
 	s.detector.Start()
 	s.startWorkload()
@@ -139,12 +146,7 @@ func (s *System) Run() Results {
 	s.beginMeasurement()
 	s.k.Run(s.cfg.Warmup + s.cfg.MeasureTime)
 	s.detector.Stop()
-	res := s.results()
-	// Tear the process model down once the metrics are read: kill the live
-	// processes and dismiss the worker pool, so a sweep of many Systems
-	// does not accumulate one pool of parked goroutines per kernel.
-	s.k.Shutdown()
-	return res
+	return s.results()
 }
 
 // Summary condenses a response-time sample. The JSON tags give sweep

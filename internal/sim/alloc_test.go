@@ -120,8 +120,8 @@ func TestHotPathZeroAllocs(t *testing.T) {
 // TestSpawnZeroAllocs is the PR-6 gate for the million-client scenario: a
 // driver spawning one short-lived process per interval (the shape of every
 // OLTP transaction and commit participant). With worker pooling the spawn
-// path must not allocate in steady state — the Proc, its resume channel and
-// its goroutine stack are all reused from the pool, and the body is hoisted
+// path must not allocate in steady state — the Proc, its coroutine and the
+// coroutine's stack are all reused from the pool, and the body is hoisted
 // so the only per-spawn state is the SpawnArg scalar.
 func TestSpawnZeroAllocs(t *testing.T) {
 	k := NewKernel()

@@ -7,8 +7,7 @@ import "testing"
 // Run(warmup+measure)): the continuation fast path is active and a blocked
 // process dispatches its own wake-up in-context. Each has a Parked variant
 // with the fast path disabled — the pre-continuation park/resume behavior —
-// so the goroutine-switch cost the fast path removes is measured in the
-// same binary.
+// so the switch cost the fast path removes is measured in the same binary.
 
 // BenchmarkEventDispatch measures the raw event path — one calendar insert
 // plus one extract and dispatch per operation — with no process handoff,
@@ -141,9 +140,9 @@ func BenchmarkUncontendedUseParked(b *testing.B) { benchUncontendedUse(b, false)
 // benchSpawnEphemeral measures the full lifecycle of a short-lived process
 // — spawn, one timed hold, return — the shape of every OLTP transaction,
 // commit participant and control helper in the engine. With pooling the
-// spawn hands the body to a parked worker over its existing resume channel:
-// no goroutine birth, no channel, no Proc allocation. The Unpooled variant
-// pays a fresh goroutine per spawn — the pre-PR-6 behavior.
+// spawn hands the body to a parked worker and resumes its coroutine: no
+// coroutine birth, no Proc allocation. The Unpooled variant pays a fresh
+// coroutine per spawn — the pre-PR-6 behavior.
 func benchSpawnEphemeral(b *testing.B, pooled bool) {
 	k := NewKernel()
 	k.SetSpawnPooling(pooled)

@@ -12,6 +12,12 @@ import (
 // fast path must dispatch the identical event sequence the parked path
 // does.
 func soupTrace(seed int64, inline bool) []Time {
+	out, _ := soupRun(seed, inline)
+	return out
+}
+
+// soupRun is soupTrace also returning the kernel's counters after the run.
+func soupRun(seed int64, inline bool) ([]Time, KernelStats) {
 	k := NewKernel()
 	k.SetInlineDispatch(inline)
 	srv := NewServer(k, "cpu", 2)
@@ -53,7 +59,7 @@ func soupTrace(seed int64, inline bool) []Time {
 	for h := 500 * Microsecond; k.Pending() > 0; h += 500 * Microsecond {
 		k.Run(h)
 	}
-	return out
+	return out, k.Stats()
 }
 
 // TestInlineDispatchMatchesParked pins the tentpole contract: with the

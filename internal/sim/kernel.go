@@ -19,8 +19,8 @@ const maxTime = Time(1<<63 - 1)
 
 // Kernel owns the simulated clock and the event calendar and drives all
 // processes. A Kernel and everything attached to it must be used from a
-// single OS-level goroutine (the one that calls Run); process goroutines are
-// scheduled by the kernel itself and never run concurrently with it.
+// single goroutine (the one that calls Run); processes are coroutines the
+// kernel resumes from that goroutine and never run concurrently with it.
 //
 // Scheduling structure: events in the future live in the calendar queue
 // (calQueue, O(1) amortized); events at the current instant — unparks and
@@ -29,12 +29,13 @@ const maxTime = Time(1<<63 - 1)
 // dispatch loop lets same-time calendar events with lower sequence numbers
 // (scheduled earlier, from a past instant) fire first.
 //
-// Dispatch is cooperative ("the ball"): exactly one goroutine at a time —
-// the root Run loop or one process — pops and dispatches events. A blocking
-// process does not hand control back to the root loop; it keeps dispatching
-// in its own context until its own resume event comes up (continuation fast
-// path, zero goroutine switches) or another process's turn arrives (direct
-// handoff, one switch). See Proc.block.
+// Dispatch is cooperative ("the ball"): exactly one context at a time — the
+// root Run loop or one process — pops and dispatches events. A blocking
+// process keeps dispatching in its own context until its own resume event
+// comes up (continuation fast path, no switch at all). When another
+// process's turn arrives first, it names that process in handoff and yields
+// to the root loop, which resumes it: two coroutine switches, no Go
+// scheduler run queue involved. See Proc.block.
 type Kernel struct {
 	now     Time
 	seq     int64
@@ -42,23 +43,23 @@ type Kernel struct {
 	nowQ    []*event
 	nowHead int
 	pool    []*event
-	yield   chan struct{}
+	handoff *Proc // process a yielding ball holder named; the root loop resumes it next
 	running bool
 	inline  bool // continuation fast path enabled (default true)
-	pooling bool // spawn reuses parked worker goroutines (default true)
+	pooling bool // spawn reuses parked worker coroutines (default true)
 	killing bool // Shutdown in progress: resumes unwind via the kill sentinel
 	horizon Time // until of the active Run; valid while running
 	blocked int  // processes parked on a resource or mailbox
 	procSeq int64
 
 	procs []*Proc   // live processes (spawned, not yet finished), registry order
-	freeW []*worker // parked pooled worker goroutines awaiting reuse
+	freeW []*worker // parked pooled worker coroutines awaiting reuse
 
 	dispatched   int64 // events dispatched since kernel creation
-	inlineWakes  int64 // blocks resolved in-context, without a goroutine switch
-	handoffs     int64 // goroutine switches into a process (direct or from root)
-	goroutines   int   // worker goroutines alive (parked, running, or blocked)
-	spawnReuses  int64 // spawns served by a pooled worker instead of a new goroutine
+	inlineWakes  int64 // blocks resolved in-context, without a switch
+	handoffs     int64 // switches into a process coroutine
+	goroutines   int   // process coroutines alive (parked, running, or blocked)
+	spawnReuses  int64 // spawns served by a pooled worker instead of a new coroutine
 	lightSpawns  int64 // run-to-completion processes started via SpawnFn
 	batchedGets  int64 // Chan.GetAll drains
 	batchedItems int64 // messages delivered through GetAll drains
@@ -66,18 +67,14 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	// Capacity 1 makes every handoff rendezvous a single blocking receive
-	// instead of a send/receive pair on both sides: the sender never
-	// blocks, and the happens-before edge of the buffered send still
-	// orders all simulation state written before a handoff.
-	k := &Kernel{yield: make(chan struct{}, 1), inline: true, pooling: true}
+	k := &Kernel{inline: true, pooling: true}
 	k.cq.shift = calShift
 	return k
 }
 
-// SetSpawnPooling toggles worker-goroutine pooling. With it disabled every
-// Spawn starts a fresh goroutine that exits when the process returns (the
-// pre-pool behavior). Dispatch order — and therefore every simulation result
+// SetSpawnPooling toggles worker pooling. With it disabled every Spawn
+// starts a fresh coroutine that ends when the process returns (the pre-pool
+// behavior). Dispatch order — and therefore every simulation result
 // — is identical either way; the switch exists for benchmarks and
 // equivalence tests. It must not be called while Run is active.
 func (k *Kernel) SetSpawnPooling(enabled bool) {
@@ -88,10 +85,10 @@ func (k *Kernel) SetSpawnPooling(enabled bool) {
 }
 
 // SetInlineDispatch toggles the continuation fast path. With it disabled
-// every block is a park/resume pair through the root Run loop (the
-// pre-fast-path behavior). Dispatch order — and therefore every simulation
-// result — is identical either way; the switch exists for benchmarks and
-// determinism tests. It must not be called while Run is active.
+// every block yields to the root Run loop, which dispatches the process's
+// resume event (the pre-fast-path behavior). Dispatch order — and
+// therefore every simulation result — is identical either way; the switch
+// exists for benchmarks and determinism tests. It must not be called while Run is active.
 func (k *Kernel) SetInlineDispatch(enabled bool) {
 	if k.running {
 		panic("sim: SetInlineDispatch during Run")
@@ -118,18 +115,18 @@ func (k *Kernel) Blocked() int { return k.blocked }
 // state SpawnReuses tracks Spawns (every spawn reuses a parked worker) and
 // LiveGoroutines stays O(peak live processes) — not O(total spawned).
 // LightSpawns counts run-to-completion processes (SpawnFn) that needed no
-// goroutine at all; BatchedGets/BatchedItems measure mailbox-drain leverage
+// coroutine at all; BatchedGets/BatchedItems measure mailbox-drain leverage
 // (items per wake-up). OverflowLen/OverflowPeak/OverflowPushes/Migrations
 // diagnose a wheel-width mismatch; WheelShift/WidthResizes record how the
 // self-tuning calendar responded (see calQueue.maybeWiden).
 type KernelStats struct {
 	Dispatched  int64 // events dispatched since kernel creation
 	InlineWakes int64 // blocks resolved in-context (continuation fast path, no switch)
-	Handoffs    int64 // goroutine switches into a process
+	Handoffs    int64 // switches into a process coroutine (each resume by the root loop)
 
 	Spawns         int64 // processes ever spawned (Spawn/SpawnAt/SpawnArg)
-	SpawnReuses    int64 // spawns served by a parked pooled worker (no goroutine birth)
-	LiveGoroutines int   // worker goroutines alive: parked in the pool, running, or blocked
+	SpawnReuses    int64 // spawns served by a parked pooled worker (no coroutine birth)
+	LiveGoroutines int   // process coroutines alive: parked in the pool, running, or blocked
 	LightSpawns    int64 // run-to-completion processes started via SpawnFn
 	BatchedGets    int64 // Chan.GetAll drains
 	BatchedItems   int64 // messages delivered through GetAll drains
@@ -201,12 +198,11 @@ func (k *Kernel) schedule(e *event) {
 // It panics if t is in the simulated past.
 //
 // "Kernel context" is wherever dispatch is happening: with the
-// continuation fast path (the default) fn may execute on a blocked
-// process's goroutine rather than the goroutine that called Run, so a
-// panic escaping fn unwinds that process goroutine and cannot be recovered
-// around Run. Treat a panic in an event function as fatal (it is a
-// simulation bug either way); recover inside fn if a callback must be
-// panic-safe.
+// continuation fast path (the default) fn may execute inside a blocked
+// process's coroutine rather than in the Run loop. A panic escaping fn
+// surfaces from Run on the caller's goroutine either way; when fn ran in a
+// process's context it arrives wrapped in a *ProcPanic naming that process.
+// After such a panic the kernel may only be shut down.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, k.now))
@@ -266,21 +262,27 @@ func (k *Kernel) next(until Time) *event {
 	return e
 }
 
-// switchTo hands the ball to p and waits for it to come back to the root
-// loop: p runs — possibly dispatching further events in its own context,
-// possibly handing off directly to other processes — until some ball holder
-// drains the horizon or finishes, which yields to the root.
+// switchTo hands the ball to p: it resumes p's coroutine and, each time
+// the ball holder yields naming the process whose turn came up (see
+// Proc.block), resumes that one. It returns once a ball holder yields
+// without naming one — it drained the horizon, its body returned, or the
+// fast path is off — and the root loop pops the next event itself.
 func (k *Kernel) switchTo(p *Proc) {
-	if p.done {
-		panic(fmt.Sprintf("sim: resuming finished process %q", p.name))
+	for {
+		if p.done {
+			panic(fmt.Sprintf("sim: resuming finished process %q", p.name))
+		}
+		k.handoffs++
+		p.next()
+		if p = k.handoff; p == nil {
+			return
+		}
+		k.handoff = nil
 	}
-	k.handoffs++
-	p.resume <- struct{}{}
-	<-k.yield
 }
 
-// dispatch recycles e and performs its action from the root loop: a process
-// handoff for resume-proc events, a call for run-fn events.
+// dispatch recycles e and performs its action from the root loop: a switch
+// into the process for resume-proc events, a call for run-fn events.
 func (k *Kernel) dispatch(e *event) {
 	if p := e.p; p != nil {
 		k.freeEvent(e)
@@ -343,7 +345,7 @@ func (k *Kernel) Pending() int {
 
 // SpawnFn starts a run-to-completion "light" process: fn is scheduled as an
 // ordinary event at the current time and runs in kernel context — no
-// goroutine, no resume channel, no Proc allocation. fn must never block
+// coroutine, no Proc allocation. fn must never block
 // (there is no process identity to suspend); timed holds are expressed
 // through the continuation primitives (Server.UseFn, netw.SendFn), which
 // schedule their follow-up events at exactly the (time, seq) positions the
@@ -357,10 +359,11 @@ func (k *Kernel) SpawnFn(fn func()) {
 }
 
 // Shutdown terminates every live process and dismisses the worker pool,
-// releasing all goroutines and the memory their stacks and captured state
+// releasing all coroutines and the memory their stacks and captured state
 // pin. Call it when a simulation is complete (after the final Run and after
-// results have been read): without it, a long sweep of independent
-// simulations would accumulate one pool of parked goroutines per kernel.
+// results have been read), and after a panic recovered around Run: without
+// it, a long sweep of independent simulations would accumulate one pool of
+// parked coroutines per kernel.
 //
 // Each live process is killed by injecting a panic sentinel at its blocked
 // resume point; the unwind runs the process's defers (admission tokens,
@@ -374,20 +377,17 @@ func (k *Kernel) Shutdown() {
 	}
 	k.killing = true
 	for len(k.procs) > 0 {
-		p := k.procs[len(k.procs)-1]
-		// Every live process is parked at a resume receive with an empty
-		// buffer (Run only returns once all ready events are dispatched),
-		// so this send is the kill signal, and the yield receive observes
-		// the goroutine's exit protocol.
-		p.resume <- struct{}{}
-		<-k.yield
+		// Every live process is suspended — blocked, or not yet started —
+		// so resuming it with killing set runs its exit protocol, which
+		// removes it from the registry before the coroutine ends.
+		k.procs[len(k.procs)-1].next()
 	}
 	k.killing = false
 	k.ReleaseWorkers()
 }
 
-// ReleaseWorkers dismisses the parked worker-goroutine pool (a nil-fn
-// resume makes a pooled worker return). Shutdown calls it; it is exported
+// ReleaseWorkers dismisses the parked worker pool (resuming a pooled worker
+// with no body to run ends its coroutine). Shutdown calls it; it is exported
 // for callers that never spawn blocking processes but still want to drop
 // the pool between simulations.
 func (k *Kernel) ReleaseWorkers() {
@@ -395,7 +395,7 @@ func (k *Kernel) ReleaseWorkers() {
 		panic("sim: ReleaseWorkers during Run")
 	}
 	for i, w := range k.freeW {
-		w.proc.resume <- struct{}{}
+		w.proc.next()
 		k.freeW[i] = nil
 	}
 	k.goroutines -= len(k.freeW)

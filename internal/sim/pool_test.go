@@ -18,6 +18,12 @@ import (
 //
 // Every combination must produce the identical (time, value) trace.
 func modelTrace(seed int64, pooled, light, batched bool) []Time {
+	out, _ := modelRun(seed, pooled, light, batched)
+	return out
+}
+
+// modelRun is modelTrace also returning the kernel's counters after the run.
+func modelRun(seed int64, pooled, light, batched bool) ([]Time, KernelStats) {
 	k := NewKernel()
 	k.SetSpawnPooling(pooled)
 	srv := NewServer(k, "cpu", 2)
@@ -75,7 +81,7 @@ func modelTrace(seed int64, pooled, light, batched bool) []Time {
 		k.Run(h)
 	}
 	k.Shutdown()
-	return out
+	return out, k.Stats()
 }
 
 func requireSameTrace(t *testing.T, name string, seed int64, got, want []Time) {

@@ -1,41 +1,44 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // Proc is the handle a simulated process uses to interact with the kernel.
-// A process is an ordinary function running on a kernel-owned goroutine;
-// every blocking operation (Wait, Server.Use, Store.Get, Chan.Get, ...)
-// suspends the process and transfers dispatch to the kernel, which resumes
-// it when the corresponding event fires. Exactly one process runs at any
-// instant.
+// A process is an ordinary function running in a kernel-owned coroutine
+// (iter.Pull; see pull); every blocking operation (Wait, Server.Use, Store.Get,
+// Chan.Get, ...) suspends the process and transfers dispatch to the kernel,
+// which resumes it when the corresponding event fires. Exactly one process
+// runs at any instant.
 //
-// Suspension does not necessarily suspend the goroutine: with the
+// Suspension does not necessarily suspend the coroutine: with the
 // continuation fast path (Kernel.SetInlineDispatch, on by default) a
 // blocking process keeps dispatching events in its own context — run-fn
-// events execute inline, its own resume event simply returns control, and
-// only another process's resume costs a goroutine switch (a direct
-// process-to-process handoff). An uncontended timed hold — Wait after an
-// immediate Acquire, Server.Use on a free station — therefore runs entirely
-// switch-free when no other process has an intervening turn.
+// events execute inline and its own resume event simply returns control.
+// Only another process's resume costs a switch: the process yields to the
+// root Run loop, which resumes the other one. An uncontended timed hold —
+// Wait after an immediate Acquire, Server.Use on a free station — therefore
+// runs entirely switch-free when no other process has an intervening turn.
 //
-// Goroutines are pooled (Kernel.SetSpawnPooling, on by default): a process
-// that returns parks its worker goroutine on the kernel's free list instead
-// of exiting, and the next Spawn reuses it — identity fields (ID, Name, Arg)
-// are reset on reuse, so spawning is allocation-free in steady state and the
-// goroutine count is bounded by the peak number of live processes, not by
-// the total number ever spawned.
+// Coroutines are pooled (Kernel.SetSpawnPooling, on by default): a process
+// that returns parks its worker coroutine on the kernel's free list instead
+// of ending it, and the next Spawn reuses it — identity fields (ID, Name,
+// Arg) are reset on reuse, so spawning is allocation-free in steady state
+// and the coroutine count is bounded by the peak number of live processes,
+// not by the total number ever spawned.
 type Proc struct {
 	k       *Kernel
 	id      int64
 	name    string
-	resume  chan struct{}
+	next    func() (struct{}, bool) // resumes the coroutine; called outside every process (Run loop, Shutdown)
+	yield   func(struct{}) bool     // suspends the coroutine; called by the process itself
 	done    bool
 	arg     int64
-	w       *worker // owning pooled worker; nil for unpooled processes
-	liveIdx int     // index in Kernel.procs while live
+	liveIdx int // index in Kernel.procs while live
 }
 
-// worker is a pooled process goroutine: a parked goroutine plus the Proc
+// worker is a pooled process coroutine: a suspended coroutine plus the Proc
 // whose identity it lends to successive spawns. fn holds the next body
 // between assignment (Spawn) and execution (first resume); it is nil while
 // the worker is parked on the free list.
@@ -45,19 +48,45 @@ type worker struct {
 }
 
 // killSentinel is the panic payload Shutdown injects into a blocked process
-// to unwind its goroutine; runBody recovers exactly this type and re-panics
+// to unwind its coroutine; runBody recovers exactly this type and re-panics
 // everything else.
 type killSentinel struct{}
+
+// ProcPanic is the value Kernel.Run panics with when a process body — or an
+// event function dispatched in a blocked process's context — panics. The
+// panic ends the process's coroutine and surfaces from Run on the caller's
+// goroutine; ProcPanic keeps what that crossing would otherwise lose.
+type ProcPanic struct {
+	Proc  string // name of the process whose coroutine panicked
+	Value any    // the original panic value
+	Stack []byte // the coroutine's stack at the panic site
+}
+
+// Error reports the process, the panic value and the stack of the panic
+// site.
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", e.Proc, e.Value, e.Stack)
+}
+
+// Unwrap returns the original panic value when it is an error.
+func (e *ProcPanic) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
 
 // runBody executes a process body, absorbing the Shutdown kill sentinel so
 // the caller can run the finish protocol either way. Its deferred recover
 // also means a killed body's own defers run — resources held across the
 // kill (admission tokens, buffer spaces) are returned like on any return.
+// Any other panic retires the process — its coroutine is ending — and is
+// re-raised as a *ProcPanic, which iter.Pull carries to the Run loop.
 func runBody(p *Proc, fn func(*Proc)) (killed bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); !ok {
-				panic(r)
+				p.k.finishProc(p)
+				p.k.goroutines--
+				panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
 			}
 			killed = true
 		}
@@ -66,67 +95,55 @@ func runBody(p *Proc, fn func(*Proc)) (killed bool) {
 	return false
 }
 
-// newWorker starts a pooled worker goroutine. The loop runs one process
-// body per resume cycle: a finishing body parks the worker on the kernel
-// free list and hands the ball to the root loop; a nil fn on wake means the
-// pool is being dismissed (ReleaseWorkers adjusts the counters); a wake
-// with killing set is a Shutdown kill arriving before the start event.
+// newWorker starts a pooled worker coroutine. The loop runs one process
+// body per spawn: a finishing body parks the worker on the kernel free list
+// and yields to the root loop; resumed with a nil fn, the worker is being
+// dismissed (ReleaseWorkers adjusts the counters).
 func (k *Kernel) newWorker() *worker {
 	w := &worker{}
 	w.proc.k = k
-	// resume has capacity 1 for the same reason as Kernel.yield: the
-	// handoff send completes without blocking, halving the synchronization
-	// cost of a process switch. Between a handoff send and the matching
-	// receive neither side touches simulation state, so the brief overlap
-	// is race-free — and the same edge orders the spawner's writes to
-	// w.fn and the Proc identity fields before the worker reads them.
-	w.proc.resume = make(chan struct{}, 1)
-	w.proc.w = w
 	k.goroutines++
-	go func() {
+	w.proc.next = pull(func(yield func(struct{}) bool) {
+		p := &w.proc
+		p.yield = yield
 		for {
-			<-w.proc.resume
 			fn := w.fn
 			if fn == nil {
 				// Dismissed from the free list; the dismisser owns the
-				// goroutine counter, so touch nothing.
+				// coroutine counter, so touch nothing.
 				return
 			}
 			w.fn = nil
-			p := &w.proc
-			if k.killing {
-				// Killed between spawn and the start event: the body
-				// never ran, just retire the process.
-				k.finishProc(p)
-				k.goroutines--
-				k.yield <- struct{}{}
-				return
-			}
-			killed := runBody(p, fn)
+			// A Shutdown kill arriving before the start event retires the
+			// process without running its body.
+			killed := k.killing || runBody(p, fn)
 			k.finishProc(p)
 			if killed {
 				k.goroutines--
-				k.yield <- struct{}{}
 				return
 			}
 			// Park for reuse, then hand the ball to the root loop.
 			k.freeW = append(k.freeW, w)
-			k.yield <- struct{}{}
+			yield(struct{}{})
 		}
-	}()
+	})
 	return w
 }
 
-// runUnpooled is the body wrapper of a non-pooled process goroutine
-// (SetSpawnPooling(false)): one spawn, one goroutine, exit on return.
-func (k *Kernel) runUnpooled(p *Proc, fn func(*Proc)) {
-	<-p.resume
-	if !k.killing {
-		runBody(p, fn)
-	}
-	k.finishProc(p)
-	k.goroutines--
-	k.yield <- struct{}{}
+// newUnpooled starts the coroutine of a non-pooled process
+// (SetSpawnPooling(false)): one spawn, one coroutine, ended on return.
+func (k *Kernel) newUnpooled(fn func(*Proc)) *Proc {
+	p := &Proc{k: k}
+	k.goroutines++
+	p.next = pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		if !k.killing {
+			runBody(p, fn)
+		}
+		k.finishProc(p)
+		k.goroutines--
+	})
+	return p
 }
 
 // finishProc retires a returning (or killed) process: marks it done and
@@ -178,9 +195,7 @@ func (k *Kernel) spawn(t Time, name string, arg int64, fn func(p *Proc)) *Proc {
 		p = &w.proc
 		p.done = false
 	} else {
-		p = &Proc{k: k, resume: make(chan struct{}, 1)}
-		k.goroutines++
-		go k.runUnpooled(p, fn)
+		p = k.newUnpooled(fn)
 	}
 	p.id = k.procSeq
 	p.name = name
@@ -198,60 +213,42 @@ func (k *Kernel) spawn(t Time, name string, arg int64, fn func(p *Proc)) *Proc {
 //
 // Fast path: the blocking process becomes the dispatcher. It pops events in
 // exactly the (time, seq) order the root loop would, runs fn events inline,
-// and returns the moment its own resume event comes up — zero goroutine
-// switches. A resume event for another process transfers the ball directly
-// to that process (one switch; the old park/resume pair cost two). Draining
-// the horizon yields the ball to the root Run loop, which then returns to
+// and returns the moment its own resume event comes up — no switch at all.
+// A resume event for another process is named in Kernel.handoff and the
+// process yields; the root loop resumes the named process. Draining the
+// horizon yields with no process named, and the root Run loop returns to
 // its caller. Because the fast path dispatches the identical event sequence
-// a parked process would have had dispatched on its behalf, simulation
-// results are bit-identical with the fast path on or off.
+// the root loop would have dispatched on a suspended process's behalf,
+// simulation results are bit-identical with the fast path on or off.
 func (p *Proc) block() {
 	k := p.k
-	if !k.inline {
-		// Legacy path: park the goroutine, let the root loop dispatch.
-		k.yield <- struct{}{}
-		<-p.resume
-		if k.killing {
-			panic(killSentinel{})
-		}
-		return
-	}
-	for {
-		e := k.next(k.horizon)
-		if e == nil {
-			// Nothing left at or before the horizon: give the ball back
-			// to the root loop (Run returns) and sleep until a later Run
-			// dispatches our resume event.
-			k.yield <- struct{}{}
-			<-p.resume
-			if k.killing {
-				panic(killSentinel{})
+	if k.inline {
+		for {
+			e := k.next(k.horizon)
+			if e == nil {
+				// Nothing left at or before the horizon: Run returns, and
+				// a later Run dispatches our resume event.
+				break
 			}
-			return
-		}
-		if q := e.p; q != nil {
+			if q := e.p; q != nil {
+				k.freeEvent(e)
+				if q == p {
+					// Our own wake: continue in-context, no switch at all.
+					k.inlineWakes++
+					return
+				}
+				// Another process's turn: name it for the root loop.
+				k.handoff = q
+				break
+			}
+			fn := e.fn
 			k.freeEvent(e)
-			if q == p {
-				// Our own wake: continue in-context, no switch at all.
-				k.inlineWakes++
-				return
-			}
-			if q.done {
-				panic(fmt.Sprintf("sim: resuming finished process %q", q.name))
-			}
-			// Another process's turn: direct handoff, then sleep until
-			// some ball holder dispatches our resume event.
-			k.handoffs++
-			q.resume <- struct{}{}
-			<-p.resume
-			if k.killing {
-				panic(killSentinel{})
-			}
-			return
+			fn()
 		}
-		fn := e.fn
-		k.freeEvent(e)
-		fn()
+	}
+	p.yield(struct{}{})
+	if k.killing {
+		panic(killSentinel{})
 	}
 }
 
@@ -296,7 +293,7 @@ func (p *Proc) Arg() int64 { return p.arg }
 // Wait suspends the process for d of simulated time. This is the simulator's
 // dominant primitive (every timed hold is a Wait); on the continuation fast
 // path an undisturbed Wait costs one calendar insert and one extract, with
-// no goroutine switch.
+// no switch.
 func (p *Proc) Wait(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %q waiting negative duration %v", p.name, d))

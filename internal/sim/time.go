@@ -1,8 +1,8 @@
 // Package sim provides a deterministic, process-oriented discrete-event
-// simulation kernel. Each simulated process is a goroutine, but the kernel
-// runs exactly one process at a time and orders all wake-ups on a single
-// event calendar keyed by (time, sequence), so simulations are reproducible
-// bit-for-bit for a given seed.
+// simulation kernel. Each simulated process is a coroutine (iter.Pull); the
+// kernel runs exactly one process at a time and orders all wake-ups on a
+// single event calendar keyed by (time, sequence), so simulations are
+// reproducible bit-for-bit for a given seed.
 //
 // The kernel replaces the DeNet simulation environment used by Rahm & Marek
 // (VLDB '95). Processes model database operators and node services; shared
