@@ -1,10 +1,11 @@
 // Command dynlbworker is one member of a distributed sweep fleet: a
 // stateless HTTP worker that accepts simulation jobs from a coordinator
 // (cmd/experiments -dist, cmd/dynlbd -dist, or dynlb.WithDistributed),
-// runs them with the same engine the library uses in-process, and streams
-// the results back losslessly. Because every job arrives as its exact
-// simulation inputs — fully resolved config plus strategy name — results
-// are bit-identical to local execution wherever the job lands.
+// runs them with the same engine the library uses in-process, and sends
+// the results back as JSON, exact for every finite value. Because every
+// job arrives as its exact simulation inputs — fully resolved config plus
+// strategy name — results are bit-identical to local execution wherever
+// the job lands.
 //
 //	dynlbworker -addr :9090 -slots 4
 //

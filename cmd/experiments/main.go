@@ -97,7 +97,6 @@ func run(args []string, stdoutW, stderr io.Writer) (code int) {
 		window   = fs.String("window", "", "metrics window width (e.g. 1s): adds per-window transient metrics to every row")
 		outF     = fs.String("out", "", "also write rows to this file (see -format)")
 		format   = fs.String("format", "csv", "row file format for -out: csv or json")
-		csvF     = fs.String("csv", "", "deprecated alias for -out with -format csv")
 		progress = fs.Bool("progress", false, "stream every completed row to stderr as the sweep runs")
 		parallel = fs.Int("parallel", runtime.NumCPU(), "max concurrent simulation points (1 = sequential, <=0 = NumCPU)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -153,17 +152,6 @@ func run(args []string, stdoutW, stderr io.Writer) (code int) {
 	if *format != "csv" && *format != "json" {
 		fmt.Fprintf(stderr, "unknown -format %q (want csv or json)\n", *format)
 		return 2
-	}
-	if *csvF != "" {
-		if *outF != "" {
-			fmt.Fprintln(stderr, "-csv is a deprecated alias for -out; give only one of them")
-			return 2
-		}
-		if *format != "csv" {
-			fmt.Fprintln(stderr, "-csv always writes CSV; use -out with -format json")
-			return 2
-		}
-		*outF = *csvF
 	}
 
 	if *cpuProf != "" {

@@ -17,8 +17,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-reps", "0"},
 		{"-ci", "1.5"},
 		{"-format", "yaml"},
-		{"-csv", "a.csv", "-out", "b.csv"},
-		{"-csv", "a.csv", "-format", "json"},
 		{"-no-such-flag"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -1,7 +1,6 @@
 package dynlb
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -60,14 +59,6 @@ type PairedComparison struct {
 	TempIO   DeltaCI `json:"temp_io"`    // temporary-file I/O pages in the window
 }
 
-// Comparison bundles a paired head-to-head run of two strategies: the full
-// replicated outcome of each side (identical seed lists) plus the paired
-// per-metric aggregates.
-type Comparison struct {
-	A, B Replicated       // per-strategy replicated outcomes, same seeds
-	Pair PairedComparison // paired deltas and improvements with CIs
-}
-
 // SplitCompare parses an "A,B" comparison spec — two comma-separated
 // strategy names, as both commands' -compare flags take — into the
 // baseline and challenger names. It trims surrounding spaces and rejects
@@ -82,65 +73,6 @@ func SplitCompare(spec string) (a, b string, err error) {
 		return "", "", fmt.Errorf("dynlb: comparison spec %q: want two comma-separated strategy names", spec)
 	}
 	return a, b, nil
-}
-
-// Compare runs strategies A and B once each on cfg's seed and returns the
-// per-metric deltas and relative improvements (half-widths are zero with a
-// single pair; replicate with CompareReplicated for confidence intervals).
-//
-// Deprecated: use the Experiment API over a single-point Sweep:
-//
-//	NewExperiment(Sweep{Base: cfg}, WithCompare(a, b)).Run(ctx)
-func Compare(cfg Config, a, b Strategy) (Comparison, error) {
-	return CompareReplicatedConf(cfg, a, b, []int64{cfg.Seed}, DefaultConfidence)
-}
-
-// CompareReplicated runs strategies A and B on identical replicate seeds —
-// each seed simulated once per strategy, all runs fanned through the worker
-// pool — and aggregates the paired per-replicate deltas at the default 95%
-// confidence level. Derive seeds with ReplicateSeeds for the standard
-// deterministic stream.
-//
-// Deprecated: use the Experiment API over a single-point Sweep (WithRuns
-// recovers the per-replicate Results, {A, B}-interleaved per seed):
-//
-//	NewExperiment(Sweep{Base: cfg}, WithCompare(a, b), WithSeeds(seeds...), WithRuns()).Run(ctx)
-func CompareReplicated(cfg Config, a, b Strategy, seeds []int64) (Comparison, error) {
-	return CompareReplicatedConf(cfg, a, b, seeds, DefaultConfidence)
-}
-
-// CompareReplicatedConf is CompareReplicated at an explicit confidence
-// level in (0, 1).
-//
-// Deprecated: use the Experiment API with WithConfidence(conf).
-func CompareReplicatedConf(cfg Config, a, b Strategy, seeds []int64, conf float64) (Comparison, error) {
-	if len(seeds) == 0 {
-		return Comparison{}, fmt.Errorf("dynlb: CompareReplicated needs at least one seed")
-	}
-	rows, err := NewExperiment(Sweep{Base: cfg},
-		WithCompare(a, b), WithSeeds(seeds...), WithConfidence(conf),
-		WithRuns()).Run(context.Background())
-	if err != nil {
-		return Comparison{}, err
-	}
-	// The row's raw runs interleave the pair per seed: {A, B} per replicate.
-	// Both sides aggregate here from those runs with the same pure functions
-	// the pipeline uses (the row only carries B's aggregates, and A's are
-	// needed symmetrically), so the values cannot diverge from the row's.
-	raw := rows[0].Runs
-	runsA := make([]Results, len(seeds))
-	runsB := make([]Results, len(seeds))
-	for i := range seeds {
-		runsA[i] = raw[2*i]
-		runsB[i] = raw[2*i+1]
-	}
-	meanA, repA := AggregateResults(runsA, conf)
-	meanB, repB := AggregateResults(runsB, conf)
-	return Comparison{
-		A:    Replicated{Runs: runsA, Mean: meanA, Rep: repA},
-		B:    Replicated{Runs: runsB, Mean: meanB, Rep: repB},
-		Pair: *rows[0].Cmp,
-	}, nil
 }
 
 // CompareResults computes the paired aggregates of two equal-length result

@@ -2,6 +2,7 @@ package dynlb
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -78,99 +79,77 @@ func TestCompareResultsRejects(t *testing.T) {
 	}
 }
 
-func TestCompareReplicatedRejectsBadArgs(t *testing.T) {
-	cfg := quickConfig()
-	a, b := MustStrategy("psu-opt+RANDOM"), MustStrategy("MIN-IO")
-	if _, err := CompareReplicated(cfg, a, b, nil); err == nil {
-		t.Error("empty seed list accepted")
-	}
-	if _, err := CompareReplicatedConf(cfg, a, b, []int64{1}, 0); err == nil {
-		t.Error("confidence 0 accepted")
-	}
-	bad := cfg
-	bad.NPE = 0
-	if _, err := CompareReplicated(bad, a, b, []int64{1}); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
 // TestCompareSharesSeeds: the A side of a paired comparison must be
-// bit-identical to RunReplicated of strategy A on the same seed list — the
-// pairing adds B runs on the same seeds, it must not perturb A's stream.
-// And the paired metric means must agree with the per-strategy Replication.
+// bit-identical to a replicated sweep of strategy A on the same seed list —
+// the pairing adds B runs on the same seeds, it must not perturb A's
+// stream. And the paired metric means must agree with the per-strategy
+// Replication.
 func TestCompareSharesSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
+	ctx := context.Background()
 	cfg := quickConfig()
 	a, b := MustStrategy("psu-opt+RANDOM"), MustStrategy("OPT-IO-CPU")
 	seeds := ReplicateSeeds(cfg.Seed, 3)
-	cmp, err := CompareReplicated(cfg, a, b, seeds)
+	cmpRows, err := NewExperiment(Sweep{Base: cfg},
+		WithCompare(a, b), WithSeeds(seeds...), WithRuns()).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repA, err := RunReplicated(cfg, a, seeds)
+	repRows, err := NewExperiment(Sweep{Base: cfg, Strategies: []Strategy{a}},
+		WithSeeds(seeds...), WithRuns()).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cmp.A, repA) {
-		t.Errorf("A side of the comparison differs from RunReplicated on the same seeds:\ncmp: %+v\nrep: %+v",
-			cmp.A.Rep, repA.Rep)
+	// A compared row's runs interleave {A, B} per seed.
+	cmpRow := cmpRows[0]
+	var runsA []Results
+	for k := 0; k < len(cmpRow.Runs); k += 2 {
+		runsA = append(runsA, cmpRow.Runs[k])
 	}
-	if cmp.Pair.JoinRTMS.A != cmp.A.Rep.JoinRTMS.Mean || cmp.Pair.JoinRTMS.B != cmp.B.Rep.JoinRTMS.Mean {
+	if !reflect.DeepEqual(runsA, repRows[0].Runs) {
+		t.Errorf("A side of the comparison differs from the replicated sweep of A on the same seeds")
+	}
+	c := cmpRow.Cmp
+	if c.JoinRTMS.A != repRows[0].Rep.JoinRTMS.Mean || c.JoinRTMS.B != cmpRow.Rep.JoinRTMS.Mean {
 		t.Errorf("paired means diverge from per-strategy replication: %+v vs %v/%v",
-			cmp.Pair.JoinRTMS, cmp.A.Rep.JoinRTMS.Mean, cmp.B.Rep.JoinRTMS.Mean)
+			c.JoinRTMS, repRows[0].Rep.JoinRTMS.Mean, cmpRow.Rep.JoinRTMS.Mean)
 	}
-	if cmp.Pair.StrategyA != "psu-opt+RANDOM" || cmp.Pair.StrategyB != "OPT-IO-CPU" {
-		t.Errorf("strategy names: %q vs %q", cmp.Pair.StrategyA, cmp.Pair.StrategyB)
+	if c.StrategyA != "psu-opt+RANDOM" || c.StrategyB != "OPT-IO-CPU" {
+		t.Errorf("strategy names: %q vs %q", c.StrategyA, c.StrategyB)
 	}
-	wantDelta := cmp.Pair.JoinRTMS.B - cmp.Pair.JoinRTMS.A
-	if math.Abs(cmp.Pair.JoinRTMS.Delta.Mean-wantDelta) > 1e-9 {
-		t.Errorf("delta mean %v != B−A %v", cmp.Pair.JoinRTMS.Delta.Mean, wantDelta)
+	if cmpRow.Series != "OPT-IO-CPU vs psu-opt+RANDOM" {
+		t.Errorf("compared single-point series = %q", cmpRow.Series)
+	}
+	wantDelta := c.JoinRTMS.B - c.JoinRTMS.A
+	if math.Abs(c.JoinRTMS.Delta.Mean-wantDelta) > 1e-9 {
+		t.Errorf("delta mean %v != B−A %v", c.JoinRTMS.Delta.Mean, wantDelta)
 	}
 }
 
-// TestCompareSinglePair: Compare runs one pair on cfg.Seed — means present,
-// all half-widths zero.
+// TestCompareSinglePair: a compared single-point sweep on cfg.Seed alone
+// runs one pair — means present, all half-widths zero, no Replication.
 func TestCompareSinglePair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	cfg := quickConfig()
-	cmp, err := Compare(cfg, MustStrategy("psu-opt+RANDOM"), MustStrategy("OPT-IO-CPU"))
+	rows, err := NewExperiment(Sweep{Base: cfg},
+		WithCompare(MustStrategy("psu-opt+RANDOM"), MustStrategy("OPT-IO-CPU")),
+		WithSeeds(cfg.Seed), WithRuns()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.Pair.Reps != 1 || len(cmp.A.Runs) != 1 || len(cmp.B.Runs) != 1 {
-		t.Fatalf("single comparison shape: %+v", cmp.Pair)
+	if c := rows[0].Cmp; c.Reps != 1 || len(rows[0].Runs) != 2 || rows[0].Rep != nil {
+		t.Fatalf("single comparison shape: %+v, %d runs, Rep %+v", c, len(rows[0].Runs), rows[0].Rep)
 	}
-	d := cmp.Pair.JoinRTMS
+	d := rows[0].Cmp.JoinRTMS
 	if d.A <= 0 || d.B <= 0 {
 		t.Errorf("missing response times: %+v", d)
 	}
 	if d.Delta.HW != 0 || d.Improv.HW != 0 || d.UnpairedDeltaHW != 0 {
 		t.Errorf("single pair produced half-widths: %+v", d)
-	}
-}
-
-func TestRunFigureComparedRejects(t *testing.T) {
-	if _, err := RunFigureCompared("nope", ScaleQuick, 1, "MIN-IO", "OPT-IO-CPU", 2, 1); err == nil {
-		t.Error("unknown figure accepted")
-	}
-	if _, err := RunFigureCompared("1a", ScaleQuick, 1, "MIN-IO", "OPT-IO-CPU", 2, 1); err == nil {
-		t.Error("figure without a config axis accepted")
-	}
-	if _, err := RunFigureCompared("8", ScaleQuick, 1, "bogus", "OPT-IO-CPU", 2, 1); err == nil {
-		t.Error("unknown strategy A accepted")
-	}
-	if _, err := RunFigureCompared("8", ScaleQuick, 1, "MIN-IO", "bogus", 2, 1); err == nil {
-		t.Error("unknown strategy B accepted")
-	}
-	if _, err := RunFigureCompared("8", ScaleQuick, 1, "MIN-IO", "OPT-IO-CPU", 0, 1); err == nil {
-		t.Error("reps 0 accepted")
-	}
-	if _, err := RunFigureComparedConf("8", ScaleQuick, 1, "MIN-IO", "OPT-IO-CPU", 2, 2.0, 1); err == nil {
-		t.Error("confidence 2.0 accepted")
 	}
 }
 
@@ -206,14 +185,9 @@ func TestRunFigureComparedDeterminismAndPairing(t *testing.T) {
 		stratB = "OPT-IO-CPU"
 		reps   = 3
 	)
-	seq, err := RunFigureCompared("8", ScaleQuick, 3, stratA, stratB, reps, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunFigureCompared("8", ScaleQuick, 3, stratA, stratB, reps, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair := WithCompare(MustStrategy(stratA), MustStrategy(stratB))
+	seq := quickFigure(t, "8", 3, pair, WithReps(reps), WithWorkers(1))
+	par := quickFigure(t, "8", 3, pair, WithReps(reps), WithWorkers(8))
 	if len(seq) != len(par) || len(seq) == 0 {
 		t.Fatalf("row counts: sequential %d, parallel %d", len(seq), len(par))
 	}

@@ -56,13 +56,12 @@
 // derives the standard seed stream (replicate 0 is the base seed; further
 // replicates come from a splitmix64 stream, independent of worker count).
 //
-// Rows serialize with WriteRowsCSV and WriteRowsJSON. The pre-Experiment
-// entry points (RunFigure*, RunReplicated*, Compare*) remain as thin
-// deprecated wrappers with bit-identical output.
+// Rows serialize with WriteRowsCSV and WriteRowsJSON.
 package dynlb
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"dynlb/internal/config"
 	"dynlb/internal/core"
@@ -245,12 +244,23 @@ func FixedDegree(p int, selection string) (Strategy, error) {
 }
 
 // Run simulates cfg under the strategy and returns the windowed results.
-// A panic inside the simulation — in a custom Strategy's Decide, say —
-// propagates to Run's caller after the simulation is torn down. When it
-// arose in a simulated process's context, the panic value is an error
-// naming the process, carrying the stack of the panic site, and unwrapping
-// to the original value when that is an error.
-func Run(cfg Config, s Strategy) (Results, error) {
+// A panic inside the simulation — in a custom Strategy's Decide, say — is
+// returned as Run's error after the simulation is torn down. The error
+// carries the stack of the panic site, names the simulated process when
+// the panic arose in one, and unwraps to the panic value when that is an
+// error.
+func Run(cfg Config, s Strategy) (res Results, err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case *sim.ProcPanic:
+			err = r
+		case error:
+			err = fmt.Errorf("dynlb: simulation panicked: %w\n\n%s", r, debug.Stack())
+		default:
+			err = fmt.Errorf("dynlb: simulation panicked: %v\n\n%s", r, debug.Stack())
+		}
+	}()
 	sys, err := engine.New(cfg, s)
 	if err != nil {
 		return Results{}, err

@@ -1,14 +1,13 @@
 package dynlb
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
-
-	"dynlb/internal/sim"
 )
 
 func quickConfig() Config {
@@ -127,30 +126,32 @@ func (panicky) Decide(QueryInfo, *View, *rand.Rand) Decision {
 	panic(errDecide)
 }
 
-// TestStrategyPanicRecoverable: a panic in a user strategy reaches Run's
-// caller, where it can be recovered (the service scheduler and the fleet
-// worker rely on this to contain a bad job), with the panic site's stack
-// when it arose in a process's context, and leaves no goroutine behind.
+// TestStrategyPanicRecoverable: a panic in a user strategy comes back from
+// Run as an error (the service scheduler and the fleet worker rely on this
+// to contain a bad job) that unwraps to the panic value, shows the panic
+// site's stack, and leaves no goroutine behind.
 func TestStrategyPanicRecoverable(t *testing.T) {
 	before := runtime.NumGoroutine()
-	var r any
-	func() {
-		defer func() { r = recover() }()
-		Run(quickConfig(), panicky{})
-	}()
-	err, _ := r.(error)
+	_, err := Run(quickConfig(), panicky{})
 	if !errors.Is(err, errDecide) {
-		t.Fatalf("Run panicked with %v, want errDecide", r)
+		t.Fatalf("Run returned %v, want errDecide", err)
 	}
-	if pp, ok := r.(*sim.ProcPanic); ok && !strings.Contains(string(pp.Stack), "panicky.Decide") {
-		t.Errorf("ProcPanic.Stack does not show Decide:\n%s", pp.Stack)
+	if !strings.Contains(err.Error(), "panicky.Decide") {
+		t.Errorf("error does not show the stack of Decide:\n%v", err)
 	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before within a few seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if g := runtime.NumGoroutine(); g > before {
-		t.Errorf("%d goroutines alive after the recovered panic, %d before Run", g, before)
+		t.Errorf("%d goroutines alive, %d before", g, before)
 	}
 }
 
@@ -164,16 +165,13 @@ func TestFiguresListAndDocs(t *testing.T) {
 			t.Errorf("figure %s has no doc", f)
 		}
 	}
-	if _, err := RunFigure("nope", ScaleQuick, 1); err == nil {
+	if _, err := NewExperiment(Figure("nope"), WithScale(ScaleQuick)).Run(context.Background()); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }
 
 func TestRunFigure1aQuick(t *testing.T) {
-	rows, err := RunFigure("1a", ScaleQuick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickFigure(t, "1a", 1, WithWorkers(1))
 	var analytic, simulated int
 	for _, r := range rows {
 		switch r.Series {
@@ -205,14 +203,8 @@ func TestRunFigureDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	a, err := RunFigure("1a", ScaleQuick, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunFigure("1a", ScaleQuick, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := quickFigure(t, "1a", 7, WithWorkers(1))
+	b := quickFigure(t, "1a", 7, WithWorkers(1))
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}

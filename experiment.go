@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"dynlb/internal/engine"
 	"dynlb/internal/stats"
 )
 
@@ -361,10 +360,10 @@ func (e *Experiment) Plan() (*Plan, error) {
 //
 // # The slot-hook contract
 //
-// A plan groups its physical jobs into NumSlots logical slots — one per
-// sweep point after replication/comparison expansion — each owning the
-// contiguous job range SlotRange(s). External executors drive a plan
-// through five hooks:
+// A plan groups its physical jobs into logical slots — one per sweep point
+// after replication/comparison expansion — each owning a contiguous range
+// of jobs; SlotOf(i) names the slot of job i. External executors drive a
+// plan through five hooks:
 //
 //   - Job(i) exposes job i's exact simulation inputs: the fully resolved
 //     Config (per-slot splitmix64 replicate seed already applied) and the
@@ -409,15 +408,16 @@ func (p *Plan) NumJobs() int { return len(p.jobs) }
 // NumRows is the number of output rows the fully executed plan emits.
 func (p *Plan) NumRows() int { return len(p.rows) }
 
-// RunJob simulates physical job i and records its results in the plan.
-// Each job runs an independent kernel and RNG, so distinct indices may run
+// RunJob simulates physical job i with Run and records its results in the
+// plan; a panic inside the simulation is returned as Run returns it. Each
+// job runs an independent kernel and RNG, so distinct indices may run
 // concurrently on any number of workers without changing any row.
 func (p *Plan) RunJob(i int) error {
-	sys, err := engine.New(p.jobs[i].cfg, p.jobs[i].st)
+	res, err := Run(p.jobs[i].cfg, p.jobs[i].st)
 	if err != nil {
 		return err
 	}
-	p.results[i] = sys.Run()
+	p.results[i] = res
 	return nil
 }
 
@@ -514,18 +514,8 @@ func (p *Plan) Execute(ctx context.Context, workers int, run func(ctx context.Co
 	return nil
 }
 
-// NumSlots is the number of logical slots of the plan: sweep points after
-// the replication/comparison stages, each owning a contiguous job range.
-func (p *Plan) NumSlots() int { return len(p.slots) }
-
-// SlotRange returns the physical-job range [first, first+n) of slot s.
-// Slot ranges partition [0, NumJobs) in order.
-func (p *Plan) SlotRange(s int) (first, n int) {
-	sl := p.slots[s]
-	return sl.first, sl.n
-}
-
-// SlotOf returns the slot physical job i belongs to.
+// SlotOf returns the slot physical job i belongs to. Slots number the
+// sweep points from 0 and own contiguous, ascending job ranges.
 func (p *Plan) SlotOf(i int) int { return p.jobSlot[i] }
 
 // Job returns physical job i's exact simulation inputs: the fully resolved

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -226,107 +227,6 @@ func TestExperimentPreCancelled(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchExperiment proves every deprecated entry point
-// produces bit-identical rows to the equivalent Experiment — the migration
-// table's contract. The wrappers delegate, so this pins the option mapping
-// (scale, seed, reps, confidence, workers, compare) against drift.
-func TestDeprecatedWrappersMatchExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweeps")
-	}
-	ctx := context.Background()
-	mustRows := func(rows []Row, err error) []Row {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
-	}
-	equal := func(name string, a, b []Row) {
-		t.Helper()
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s rows differ from the explicit Experiment", name)
-		}
-	}
-
-	// Figure sweeps: plain, parallel, replicated (fig 1a is the cheapest).
-	viaExp := mustRows(NewExperiment(Figure("1a"),
-		WithScale(ScaleQuick), WithSeed(2), WithWorkers(1)).Run(ctx))
-	equal("RunFigure", mustRows(RunFigure("1a", ScaleQuick, 2)), viaExp)
-	equal("RunFigureParallel", mustRows(RunFigureParallel("1a", ScaleQuick, 2, 4)),
-		mustRows(NewExperiment(Figure("1a"),
-			WithScale(ScaleQuick), WithSeed(2), WithWorkers(4)).Run(ctx)))
-	equal("RunFigureReplicatedConf", mustRows(RunFigureReplicatedConf("1a", ScaleQuick, 2, 2, 0.9, 0)),
-		mustRows(NewExperiment(Figure("1a"),
-			WithScale(ScaleQuick), WithSeed(2), WithReps(2), WithConfidence(0.9)).Run(ctx)))
-
-	// Single-configuration replication and comparison.
-	cfg := tinySweepCfg()
-	st := MustStrategy("OPT-IO-CPU")
-	seeds := ReplicateSeeds(cfg.Seed, 3)
-	rep, err := RunReplicated(cfg, st, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repRows := mustRows(NewExperiment(Sweep{Base: cfg, Strategies: []Strategy{st}},
-		WithSeeds(seeds...)).Run(ctx))
-	if !reflect.DeepEqual(rep.Mean, repRows[0].Res) || !reflect.DeepEqual(rep.Rep, *repRows[0].Rep) {
-		t.Errorf("RunReplicated aggregates differ from the explicit Experiment")
-	}
-
-	base := MustStrategy("psu-opt+RANDOM")
-	cmp, err := CompareReplicated(cfg, base, st, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmpRows := mustRows(NewExperiment(Sweep{Base: cfg},
-		WithCompare(base, st), WithSeeds(seeds...)).Run(ctx))
-	if !reflect.DeepEqual(cmp.Pair, *cmpRows[0].Cmp) {
-		t.Errorf("CompareReplicated pair differs from the explicit Experiment")
-	}
-	if cmpRows[0].Series != "OPT-IO-CPU vs psu-opt+RANDOM" {
-		t.Errorf("compared single-point series = %q", cmpRows[0].Series)
-	}
-	single, err := Compare(cfg, base, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	singleRows := mustRows(NewExperiment(Sweep{Base: cfg},
-		WithCompare(base, st), WithSeeds(cfg.Seed)).Run(ctx))
-	if !reflect.DeepEqual(single.Pair, *singleRows[0].Cmp) {
-		t.Errorf("Compare pair differs from the explicit Experiment")
-	}
-}
-
-// TestRunFigureComparedMatchesExperiment pins the figure-compare wrapper
-// (the heaviest sweep, so it gets its own test): rows via the deprecated
-// RunFigureCompared must be bit-identical to WithCompare on the Figure
-// source.
-func TestRunFigureComparedMatchesExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second simulation sweep")
-	}
-	wrap, err := RunFigureCompared("8", ScaleQuick, 1, "psu-opt+RANDOM", "OPT-IO-CPU", 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := NewExperiment(Figure("8"),
-		WithScale(ScaleQuick), WithSeed(1),
-		WithCompare(MustStrategy("psu-opt+RANDOM"), MustStrategy("OPT-IO-CPU")),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wrap, exp) {
-		t.Fatalf("RunFigureCompared rows differ from the explicit Experiment")
-	}
-	for i, r := range wrap {
-		if r.Cmp == nil || r.Cmp.Reps != 1 || r.Rep != nil {
-			t.Errorf("row %d comparison shape: Cmp=%+v Rep=%+v", i, r.Cmp, r.Rep)
-		}
-	}
-}
-
 // TestWithRunsAttachesRawResults: WithRuns exposes the per-replicate
 // Results on each row — the public replacement for Replicated.Runs — and
 // rows stay lean without it.
@@ -358,18 +258,42 @@ func TestWithRunsAttachesRawResults(t *testing.T) {
 	}
 }
 
-// TestExperimentJobError: a point that fails to construct (invalid config
-// reached through an axis) aborts the sweep with the engine's error.
+// TestExperimentJobError: a job that fails aborts the sweep with its
+// error, leaving no goroutine behind — an invalid point config (reached
+// through an axis, a replicated sweep or a compared sweep) with the
+// engine's error, and a strategy whose Decide panics with that panic.
 func TestExperimentJobError(t *testing.T) {
-	_, err := NewExperiment(Sweep{
-		Base:       tinySweepCfg(),
-		Strategies: []Strategy{MustStrategy("MIN-IO")},
-		Axes: []Axis{
-			IntAxis("#PE", func(c *Config, n int) { c.NPE = n }, 0), // invalid
-		},
-	}).Run(context.Background())
-	if err == nil {
-		t.Fatal("invalid point config accepted")
+	bad := tinySweepCfg()
+	bad.NPE = 0
+	a, b := MustStrategy("psu-opt+RANDOM"), MustStrategy("MIN-IO")
+	cases := []struct {
+		name string
+		e    *Experiment
+		want error // nil: any error
+	}{
+		{"invalid axis point", NewExperiment(Sweep{
+			Base:       tinySweepCfg(),
+			Strategies: []Strategy{b},
+			Axes: []Axis{
+				IntAxis("#PE", func(c *Config, n int) { c.NPE = n }, 0), // invalid
+			},
+		}), nil},
+		{"invalid replicated config", NewExperiment(Sweep{Base: bad, Strategies: []Strategy{b}},
+			WithSeeds(1, 2)), nil},
+		{"invalid compared config", NewExperiment(Sweep{Base: bad},
+			WithCompare(a, b), WithSeeds(1)), nil},
+		{"panicking strategy", NewExperiment(Sweep{Base: tinySweepCfg(), Strategies: []Strategy{panicky{}}}),
+			errDecide},
+	}
+	for _, tc := range cases {
+		before := runtime.NumGoroutine()
+		rows, err := tc.e.Run(context.Background())
+		if err == nil {
+			t.Errorf("%s: accepted (%d rows)", tc.name, len(rows))
+		} else if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
+		}
+		waitGoroutines(t, before)
 	}
 }
 

@@ -1,7 +1,6 @@
 package dynlb
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -106,61 +105,6 @@ func FigureDoc(fig string) string {
 	return docs[fig]
 }
 
-// RunFigure regenerates one of the paper's figures at the given scale and
-// seed, returning the measured rows in deterministic order. It runs the
-// sweep's simulation points sequentially.
-//
-// Deprecated: use the Experiment API, which composes scale, seeding,
-// replication, comparison and parallelism as options over one entry point:
-//
-//	NewExperiment(Figure(fig), WithScale(scale), WithSeed(seed), WithWorkers(1)).Run(ctx)
-func RunFigure(fig string, scale Scale, seed int64) ([]Row, error) {
-	return NewExperiment(Figure(fig),
-		WithScale(scale), WithSeed(seed), WithWorkers(1)).Run(context.Background())
-}
-
-// RunFigureParallel is RunFigure with the figure's independent (config,
-// strategy) points executed by up to workers concurrent simulations
-// (workers <= 0 means runtime.NumCPU()). Every point runs its own kernel
-// seeded from the figure seed, so the rows are bit-identical at any
-// parallelism level and arrive in the same deterministic order.
-//
-// Deprecated: use the Experiment API:
-//
-//	NewExperiment(Figure(fig), WithScale(scale), WithSeed(seed), WithWorkers(workers)).Run(ctx)
-func RunFigureParallel(fig string, scale Scale, seed int64, workers int) ([]Row, error) {
-	return NewExperiment(Figure(fig),
-		WithScale(scale), WithSeed(seed), WithWorkers(workers)).Run(context.Background())
-}
-
-// RunFigureReplicated is RunFigureParallel with every sweep point simulated
-// reps times under independent replicate seeds (ReplicateSeeds(seed, reps):
-// replicate 0 is the figure seed itself, further replicates come from a
-// splitmix64 stream). All point x replicate jobs share one worker pool, and
-// each row reports across-replicate means with Student-t confidence
-// half-widths at the default 95% level in Row.Rep.
-//
-// At reps <= 1 it is exactly RunFigureParallel — same rows, byte for byte,
-// with Rep nil. At reps >= 2 the rows are a pure function of (fig, scale,
-// seed, reps): bit-identical at any worker count.
-//
-// Deprecated: use the Experiment API:
-//
-//	NewExperiment(Figure(fig), WithScale(scale), WithSeed(seed), WithReps(reps), WithWorkers(workers)).Run(ctx)
-func RunFigureReplicated(fig string, scale Scale, seed int64, reps, workers int) ([]Row, error) {
-	return RunFigureReplicatedConf(fig, scale, seed, reps, DefaultConfidence, workers)
-}
-
-// RunFigureReplicatedConf is RunFigureReplicated at an explicit confidence
-// level in (0, 1).
-//
-// Deprecated: use the Experiment API with WithConfidence(conf).
-func RunFigureReplicatedConf(fig string, scale Scale, seed int64, reps int, conf float64, workers int) ([]Row, error) {
-	return NewExperiment(Figure(fig),
-		WithScale(scale), WithSeed(seed), WithReps(reps),
-		WithConfidence(conf), WithWorkers(workers)).Run(context.Background())
-}
-
 // CompareFigures lists the distinct workload sweeps a compared figure
 // experiment accepts: the strategy-sweep figures, whose x axis is a
 // configuration axis (system size, selectivity) that two strategies can be
@@ -257,51 +201,6 @@ func planCompareFigure(fig string, scale Scale, seed int64) ([]comparePoint, err
 		return nil, fmt.Errorf("dynlb: unknown figure %q (comparable: %v)", fig, CompareFigures())
 	}
 	return pts, nil
-}
-
-// RunFigureCompared sweeps a figure's workload configurations under two
-// strategies head to head: every (point, replicate) pair simulates once
-// under the baseline stratA and once under the challenger stratB on the
-// identical replicate seed (common random numbers), all jobs sharing one
-// worker pool. Each returned row carries strategy B's across-replicate
-// means in the scalar metrics and the paired per-metric deltas and relative
-// improvements — with paired-t confidence half-widths at the default 95%
-// level — in Row.Cmp (plus B's Replication in Row.Rep when reps >= 2).
-//
-// Because both strategies of a pair share their seed, the per-replicate
-// deltas cancel the workload noise common to the two runs: the paired
-// half-widths are tighter than the UnpairedDeltaHW/UnpairedImprovHW an
-// independent-seed experiment of the same size yields. Rows are a pure
-// function of (fig, scale, seed, strategies, reps): bit-identical at any
-// worker count.
-//
-// Deprecated: use the Experiment API:
-//
-//	NewExperiment(Figure(fig), WithScale(scale), WithSeed(seed),
-//		WithCompare(a, b), WithReps(reps), WithWorkers(workers)).Run(ctx)
-func RunFigureCompared(fig string, scale Scale, seed int64, stratA, stratB string, reps, workers int) ([]Row, error) {
-	return RunFigureComparedConf(fig, scale, seed, stratA, stratB, reps, DefaultConfidence, workers)
-}
-
-// RunFigureComparedConf is RunFigureCompared at an explicit confidence
-// level in (0, 1).
-//
-// Deprecated: use the Experiment API with WithCompare and WithConfidence.
-func RunFigureComparedConf(fig string, scale Scale, seed int64, stratA, stratB string, reps int, conf float64, workers int) ([]Row, error) {
-	if reps < 1 {
-		return nil, fmt.Errorf("dynlb: RunFigureCompared needs reps >= 1, got %d", reps)
-	}
-	sa, err := core.ByName(stratA)
-	if err != nil {
-		return nil, err
-	}
-	sb, err := core.ByName(stratB)
-	if err != nil {
-		return nil, err
-	}
-	return NewExperiment(Figure(fig),
-		WithScale(scale), WithSeed(seed), WithCompare(sa, sb), WithReps(reps),
-		WithConfidence(conf), WithWorkers(workers)).Run(context.Background())
 }
 
 // runJob is one independent simulation of an experiment schedule: a full

@@ -1,9 +1,22 @@
 package dynlb
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
+
+// quickFigure runs figure fig at quick scale from seed with the further
+// options opts, failing the test on error.
+func quickFigure(t *testing.T, fig string, seed int64, opts ...Option) []Row {
+	t.Helper()
+	opts = append([]Option{WithScale(ScaleQuick), WithSeed(seed)}, opts...)
+	rows, err := NewExperiment(Figure(fig), opts...).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
 
 // TestRunFigureParallelMatchesSequential: a figure sweep must produce
 // bit-identical rows (values, order, and per-run Results) whether its
@@ -14,14 +27,8 @@ func TestRunFigureParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep")
 	}
-	seq, err := RunFigureParallel("1c", ScaleQuick, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunFigureParallel("1c", ScaleQuick, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := quickFigure(t, "1c", 3, WithWorkers(1))
+	par := quickFigure(t, "1c", 3, WithWorkers(8))
 	if len(seq) != len(par) {
 		t.Fatalf("row counts differ: sequential %d, parallel %d", len(seq), len(par))
 	}
@@ -30,25 +37,6 @@ func TestRunFigureParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("row %d differs between -parallel 1 and -parallel 8:\nseq: %+v\npar: %+v",
 				i, seq[i], par[i])
 		}
-	}
-}
-
-// TestRunFigureParallelUnknownFigure: the parallel entry point reports
-// unknown figures like the sequential one.
-func TestRunFigureParallelUnknownFigure(t *testing.T) {
-	if _, err := RunFigureParallel("nope", ScaleQuick, 1, 4); err == nil {
-		t.Fatal("expected error for unknown figure")
-	}
-	if _, err := RunFigureReplicated("nope", ScaleQuick, 1, 2, 4); err == nil {
-		t.Fatal("expected error for unknown figure (replicated)")
-	}
-	if _, err := RunFigureReplicatedConf("1c", ScaleQuick, 1, 2, 2.0, 4); err == nil {
-		t.Fatal("expected error for confidence outside (0,1)")
-	}
-	// Invalid confidence must be rejected even when reps=1 short-circuits
-	// into the unreplicated path.
-	if _, err := RunFigureReplicatedConf("1c", ScaleQuick, 1, 1, 2.0, 4); err == nil {
-		t.Fatal("expected error for confidence outside (0,1) at reps=1")
 	}
 }
 
@@ -63,15 +51,9 @@ func TestRunFigureReplicatedMatchesSequential(t *testing.T) {
 		t.Skip("multi-second simulation sweep")
 	}
 	const reps = 2
-	seq, err := RunFigureReplicated("1c", ScaleQuick, 3, reps, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := quickFigure(t, "1c", 3, WithReps(reps), WithWorkers(1))
 	for _, workers := range []int{4, 0 /* NumCPU */} {
-		par, err := RunFigureReplicated("1c", ScaleQuick, 3, reps, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := quickFigure(t, "1c", 3, WithReps(reps), WithWorkers(workers))
 		if len(seq) != len(par) {
 			t.Fatalf("row counts differ: sequential %d, workers=%d %d", len(seq), workers, len(par))
 		}
@@ -96,22 +78,16 @@ func TestRunFigureReplicatedMatchesSequential(t *testing.T) {
 }
 
 // TestRunFigureReplicatedRepsOneIdentical: a reps=1 "replicated" sweep must
-// be byte-identical to RunFigureParallel — same rows, Rep nil — so golden
-// comparisons and existing consumers survive the replication layer.
+// be byte-identical to the unreplicated sweep — same rows, Rep nil — so
+// golden comparisons and existing consumers survive the replication layer.
 func TestRunFigureReplicatedRepsOneIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep")
 	}
-	plain, err := RunFigureParallel("1c", ScaleQuick, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep1, err := RunFigureReplicated("1c", ScaleQuick, 3, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := quickFigure(t, "1c", 3, WithWorkers(0))
+	rep1 := quickFigure(t, "1c", 3, WithReps(1), WithWorkers(4))
 	if !reflect.DeepEqual(plain, rep1) {
-		t.Fatalf("reps=1 rows differ from RunFigureParallel:\nplain: %+v\nrep1:  %+v", plain, rep1)
+		t.Fatalf("reps=1 rows differ from the unreplicated sweep:\nplain: %+v\nrep1:  %+v", plain, rep1)
 	}
 	for i, r := range rep1 {
 		if r.Rep != nil {

@@ -13,7 +13,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden CSV files under testdata/")
 
 // Golden-row regression tests: the quick-scale fig1a and fig6 sweeps (seed
-// 1, reps 1) and the fig8 paired-comparison sweep (seed 1, reps 2) are
+// 1, reps 1) and the fig8 paired-comparison sweep (seed 1, reps 3) are
 // locked as exact CSV bytes. Any kernel, engine, cost model, statistics or
 // row-shaping change that moves a reproduced curve — even in the last
 // decimal — fails here and must either be fixed or explicitly re-golded
@@ -72,11 +72,7 @@ func lockGolden(t *testing.T, file string, rows []Row) {
 func goldenSweep(t *testing.T, fig, file string) {
 	t.Helper()
 	skipUnlessGoldenArch(t)
-	rows, err := RunFigureReplicated(fig, ScaleQuick, 1, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lockGolden(t, file, rows)
+	lockGolden(t, file, quickFigure(t, fig, 1))
 }
 
 // diffLines renders the first few differing lines of two CSV bodies.
@@ -131,9 +127,7 @@ func TestGoldenFig8CompareQuick(t *testing.T) {
 		t.Skip("multi-second simulation sweep")
 	}
 	skipUnlessGoldenArch(t)
-	rows, err := RunFigureCompared("8", ScaleQuick, 1, "psu-opt+RANDOM", "OPT-IO-CPU", 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := quickFigure(t, "8", 1,
+		WithCompare(MustStrategy("psu-opt+RANDOM"), MustStrategy("OPT-IO-CPU")), WithReps(3))
 	lockGolden(t, "fig8_compare_quick.csv", rows)
 }

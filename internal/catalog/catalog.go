@@ -157,13 +157,6 @@ func (db *Database) Add(r *Relation) error {
 	return nil
 }
 
-// MustAdd is Add that panics on error, for static setup code.
-func (db *Database) MustAdd(r *Relation) {
-	if err := db.Add(r); err != nil {
-		panic(err)
-	}
-}
-
 // Get returns the named relation, or nil.
 func (db *Database) Get(name string) *Relation { return db.rels[name] }
 

@@ -63,7 +63,6 @@ type Subsystem struct {
 	// fault-free runs stay bit-identical.
 	slow float64
 
-	reads     int64
 	writes    int64
 	cacheHits int64
 	physReads int64 // physical accesses (a prefetch run counts once)
@@ -123,7 +122,6 @@ func (s *Subsystem) DiskFor(space int64) int {
 // sequential enables prefetching on a cache miss. It reports whether the
 // page was served from the controller cache.
 func (s *Subsystem) Read(p *sim.Proc, dsk int, pg PageID, sequential bool) bool {
-	s.reads++
 	if s.cache != nil && s.cache.get(pg) {
 		s.cacheHits++
 		s.ctrl.Use(p, s.stretch(s.params.CtrlPerPage+s.params.TransferPerPage))
@@ -222,9 +220,6 @@ func (s *Subsystem) UtilizationSince(from sim.Time, busyAtFrom float64) float64 
 	}
 	return (s.BusyIntegral() - busyAtFrom) / window
 }
-
-// Reads returns the number of logical page reads.
-func (s *Subsystem) Reads() int64 { return s.reads }
 
 // Writes returns the number of page writes.
 func (s *Subsystem) Writes() int64 { return s.writes }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -242,8 +243,8 @@ func (c *Coordinator) runJob(ctx context.Context, p *dynlb.Plan, i int) (JobPlac
 					why = fmt.Errorf("dist: worker %s: job %d: %s", r.w.base, i, r.res.Err)
 					break remote
 				default:
-					res, err := decodeResults(r.res.Results, r.res.NonFinite)
-					if err != nil {
+					var res dynlb.Results
+					if err := json.Unmarshal(r.res.Results, &res); err != nil {
 						why = fmt.Errorf("dist: worker %s: job %d: %w", r.w.base, i, err)
 						break remote
 					}
@@ -280,11 +281,11 @@ func (c *Coordinator) verifyLate(i int, accepted dynlb.Results, replies <-chan r
 			if r.err != nil || r.res.Err != "" {
 				continue
 			}
-			dup, err := decodeResults(r.res.Results, r.res.NonFinite)
-			if err != nil {
+			var dup dynlb.Results
+			if json.Unmarshal(r.res.Results, &dup) != nil {
 				continue
 			}
-			err = verifySameResults(accepted, dup, i)
+			err := verifySameResults(accepted, dup, i)
 			c.mu.Lock()
 			c.rep.Duplicates++
 			if err != nil && c.broken == nil {
@@ -311,24 +312,19 @@ func (c *Coordinator) failure() error {
 }
 
 // verifySameResults asserts that a duplicate delivery of job id matches
-// the accepted result byte for byte (in canonical wire encoding) — the
+// the accepted result byte for byte (in its wire encoding) — the
 // determinism guarantee duplicates are silently dropped under.
 func verifySameResults(accepted, dup dynlb.Results, id int) error {
-	a, ap, err := encodeResults(accepted)
+	a, err := json.Marshal(accepted)
 	if err != nil {
 		return err
 	}
-	b, bp, err := encodeResults(dup)
+	b, err := json.Marshal(dup)
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(a, b) || len(ap) != len(bp) {
+	if !bytes.Equal(a, b) {
 		return fmt.Errorf("dist: duplicate completion of job %d differs from the accepted result — determinism violation", id)
-	}
-	for i := range ap {
-		if ap[i] != bp[i] {
-			return fmt.Errorf("dist: duplicate completion of job %d differs from the accepted result — determinism violation", id)
-		}
 	}
 	return nil
 }

@@ -5,7 +5,8 @@
 // dynlbworker). The unit of dispatch is one physical job: it travels as
 // its exact simulation inputs (the fully resolved Config plus the
 // strategy's wire name), the worker simulates it with the same engine the
-// library uses, and the Results travel back in a lossless JSON envelope.
+// library uses, and the Results travel back as JSON, which round-trips
+// every finite float64 exactly.
 // Coordinator.RunJob is the fleet's only per-job runner; it sends each job
 // to the live worker with the fewest jobs in flight. ExecutePlan drives a
 // whole plan through dynlb.Plan.Execute with one job in flight per live

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -222,6 +221,46 @@ func (h *slowOnce) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 	h.inner.ServeHTTP(rw, req)
 }
 
+// TestJobErrorRunsLocally: a worker that answers a job with an error — as
+// it does when the job's Results hold a value JSON cannot carry — makes
+// the coordinator run that job itself, so the rows stay those of a local
+// run.
+func TestJobErrorRunsLocally(t *testing.T) {
+	failing := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/v1/jobs" {
+			return // healthy
+		}
+		var j wireJob
+		if err := json.NewDecoder(req.Body).Decode(&j); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		json.NewEncoder(rw).Encode(wireResult{ID: j.ID, Err: "encode results: json: unsupported value: NaN"})
+	}))
+	defer failing.Close()
+	coord := New(Options{Workers: []string{failing.URL}})
+	defer coord.Close()
+
+	exp := tinySweep()
+	dynlb.WithDistributed(coord)(exp)
+	rows, err := exp.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rowBytes(t, rows), rowBytes(t, localRows(t))) {
+		t.Fatal("rows of locally rerun jobs differ from local rows")
+	}
+	rep := coord.Report()
+	if rep.LiveAtStart != 1 || rep.LocalJobs != len(rep.Jobs) {
+		t.Fatalf("live %d, %d of %d jobs local; want 1 live and every job local", rep.LiveAtStart, rep.LocalJobs, len(rep.Jobs))
+	}
+	for _, j := range rep.Jobs {
+		if j.Worker != "local" || j.Attempts != 1 {
+			t.Fatalf("job %d ran on %q after %d attempts, want local after 1", j.Job, j.Worker, j.Attempts)
+		}
+	}
+}
+
 // TestLateDuplicateDropped exercises the abandon-without-cancel path: the
 // slow worker's reply arrives after the job was re-dispatched, so one
 // copy must be dropped (byte-verified) and the rows stay bit-identical.
@@ -281,12 +320,12 @@ func (h *lyingOnce) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	time.Sleep(h.delay)
-	raw, patches, err := encodeResults(dynlb.Results{Strategy: j.Strategy})
+	raw, err := json.Marshal(dynlb.Results{Strategy: j.Strategy})
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	json.NewEncoder(rw).Encode(wireResult{ID: j.ID, Results: raw, NonFinite: patches})
+	json.NewEncoder(rw).Encode(wireResult{ID: j.ID, Results: raw})
 }
 
 // TestLateMismatchFails: two copies of one job that differ are a
@@ -352,57 +391,39 @@ func TestDuplicateMismatchFails(t *testing.T) {
 	}
 }
 
-// TestResultsCodecRoundTrip: the wire codec must round-trip Results
-// exactly, including NaN/±Inf (which plain JSON cannot carry) and nested
-// Window floats.
+// TestResultsCodecRoundTrip: Results must cross the wire exactly —
+// encoded by the worker, carried in a wireResult, decoded by the
+// coordinator — including floats that need every digit of the shortest
+// form and nested Window floats.
 func TestResultsCodecRoundTrip(t *testing.T) {
 	r := dynlb.Results{
 		Strategy:      "psu-opt+RANDOM",
 		NPE:           8,
 		AvgJoinDegree: 3.0000000000000004, // forces shortest-form float fidelity
-		CPUUtil:       math.NaN(),
-		DiskUtil:      math.Inf(1),
-		MemUtil:       math.Inf(-1),
+		JoinTPS:       0.1 + 0.2,
 		Windows: []dynlb.Window{
-			{StartMS: 0, RTMeanMS: math.NaN(), JoinTPS: 0.1 + 0.2},
-			{StartMS: 1000, RTMeanMS: 42.5, JoinTPS: math.Inf(1)},
+			{StartMS: 0, RTMeanMS: 1e-300, JoinTPS: 0.1 + 0.2},
+			{StartMS: 1000, RTMeanMS: 42.5, JoinTPS: 1.7976931348623157e308},
 		},
 	}
-	raw, patches, err := encodeResults(r)
+	raw, err := json.Marshal(r)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if len(patches) != 5 {
-		t.Fatalf("got %d non-finite patches, want 5", len(patches))
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(wireResult{ID: 3, Results: raw}); err != nil {
+		t.Fatalf("encode reply: %v", err)
 	}
-	got, err := decodeResults(raw, patches)
-	if err != nil {
+	var reply wireResult
+	if err := json.NewDecoder(&body).Decode(&reply); err != nil {
+		t.Fatalf("decode reply: %v", err)
+	}
+	var got dynlb.Results
+	if err := json.Unmarshal(reply.Results, &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	// reflect.DeepEqual treats NaN != NaN, so compare via re-encoding.
-	raw2, patches2, err := encodeResults(got)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(raw, raw2) || !reflect.DeepEqual(patches, patches2) {
-		t.Fatalf("round trip changed results:\n %s\n %s", raw, raw2)
-	}
-
-	// The all-finite fast path carries no patches.
-	r2 := dynlb.Results{Strategy: "s", JoinTPS: 0.30000000000000004}
-	raw, patches, err = encodeResults(r2)
-	if err != nil {
-		t.Fatalf("encode finite: %v", err)
-	}
-	if patches != nil {
-		t.Fatalf("finite results produced patches: %v", patches)
-	}
-	got, err = decodeResults(raw, nil)
-	if err != nil {
-		t.Fatalf("decode finite: %v", err)
-	}
-	if !reflect.DeepEqual(got, r2) {
-		t.Fatalf("finite round trip changed results: %+v != %+v", got, r2)
+	if !reflect.DeepEqual(got, r) {
+		t.Fatalf("round trip changed results: %+v != %+v", got, r)
 	}
 }
 

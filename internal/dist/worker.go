@@ -12,9 +12,10 @@ import (
 
 // Worker is the HTTP handler of one fleet member (cmd/dynlbworker mounts
 // it on a plain net/http server). It is stateless between requests: every
-// job arrives as its full simulation inputs and is executed with the same
-// dynlb.Run the library uses locally, so results are bit-identical to any
-// other placement of the job.
+// job arrives as its full simulation inputs and is executed with
+// dynlb.Run, as Plan.RunJob executes it in process, so results are
+// bit-identical to any other placement of the job. A job that fails, or
+// whose Results JSON cannot encode, comes back with its error instead.
 //
 // Endpoints:
 //
@@ -106,12 +107,11 @@ func (w *Worker) runOne(j wireJob) (res wireResult) {
 		return res
 	}
 	w.jobsDone.Add(1)
-	raw, patches, err := encodeResults(r)
+	raw, err := json.Marshal(r)
 	if err != nil {
 		res.Err = "encode results: " + err.Error()
 		return res
 	}
 	res.Results = raw
-	res.NonFinite = patches
 	return res
 }

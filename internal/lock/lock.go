@@ -50,7 +50,7 @@ type Table struct {
 	entries map[Key]*entry
 	held    map[TxnID]map[Key]Mode
 
-	locks, waits, deadlocks int64
+	waits, deadlocks int64
 }
 
 type entry struct {
@@ -78,9 +78,6 @@ func NewTable(k *sim.Kernel, name string) *Table {
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
-
-// Locks returns the number of granted lock requests.
-func (t *Table) Locks() int64 { return t.locks }
 
 // Waits returns the number of requests that had to block.
 func (t *Table) Waits() int64 { return t.waits }
@@ -120,7 +117,6 @@ func (t *Table) Lock(p *sim.Proc, txn TxnID, key Key, m Mode) error {
 		if e.compatible(txn, Exclusive) && !t.upgradeQueued(e, txn) {
 			e.holders[txn] = Exclusive
 			t.setHeld(txn, key, Exclusive)
-			t.locks++
 			return nil
 		}
 		return t.wait(p, e, &request{p: p, txn: txn, mode: Exclusive, upgrade: true}, key)
@@ -128,7 +124,6 @@ func (t *Table) Lock(p *sim.Proc, txn TxnID, key Key, m Mode) error {
 	if len(e.queue) == 0 && e.compatible(txn, m) {
 		e.holders[txn] = m
 		t.setHeld(txn, key, m)
-		t.locks++
 		return nil
 	}
 	return t.wait(p, e, &request{p: p, txn: txn, mode: m}, key)
@@ -166,7 +161,6 @@ func (t *Table) wait(p *sim.Proc, e *entry, r *request, key Key) error {
 		panic(fmt.Sprintf("lock: %s spurious wakeup txn %d", t.name, r.txn))
 	}
 	t.setHeld(r.txn, key, r.mode)
-	t.locks++
 	return nil
 }
 

@@ -152,12 +152,3 @@ func (nw *Network) PacketsSent() int64 { return nw.packets }
 
 // Bytes returns the total payload bytes offered.
 func (nw *Network) Bytes() int64 { return nw.bytes }
-
-// LinkUtilization returns the mean utilization over all outbound links.
-func (nw *Network) LinkUtilization() float64 {
-	var u float64
-	for _, l := range nw.links {
-		u += l.Utilization()
-	}
-	return u / float64(len(nw.links))
-}

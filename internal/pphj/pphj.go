@@ -37,9 +37,8 @@ type Join struct {
 
 	buildDone bool
 
-	directProbes, spilledProbes     int64
-	tempWritePages, tempReadPlanned int64
-	flushes, revivals               int64
+	directProbes, spilledProbes int64
+	flushes, revivals           int64
 }
 
 // NumPartitions returns p = ceil(sqrt(F * innerPages)), at least 1.
@@ -109,10 +108,6 @@ func (j *Join) DirectProbes() int64 { return j.directProbes }
 // SpilledProbes returns outer tuples spilled to temporary files.
 func (j *Join) SpilledProbes() int64 { return j.spilledProbes }
 
-// TempWritePages returns the total temporary pages this state asked the
-// engine to write so far.
-func (j *Join) TempWritePages() int64 { return j.tempWritePages }
-
 // hashPagesFor returns hash-table pages for t inner tuples: the fudge
 // factor applied to the fractional data pages, so the per-partition sum
 // stays consistent with the strategies' aggregate ceil(F*b_i).
@@ -166,7 +161,6 @@ func (j *Join) Build(tuples int64) (writePages int64) {
 		return pageGrowth(before, j.aTuples[part], int64(j.blocking))
 	})
 	writePages += j.enforceMemory()
-	j.tempWritePages += writePages
 	return writePages
 }
 
@@ -189,7 +183,6 @@ func (j *Join) Probe(tuples int64) (direct, spilled, writePages int64) {
 	})
 	j.directProbes += direct
 	j.spilledProbes += spilled
-	j.tempWritePages += writePages
 	return direct, spilled, writePages
 }
 
@@ -251,9 +244,7 @@ func (j *Join) SetMem(newPages int) (writePages int64) {
 		newPages = j.MinPages()
 	}
 	j.memPages = newPages
-	w := j.enforceMemory()
-	j.tempWritePages += w
-	return w
+	return j.enforceMemory()
 }
 
 // Revive marks disk-resident partitions resident again while their hash

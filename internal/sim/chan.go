@@ -10,7 +10,6 @@ type Chan[T any] struct {
 	buf     []T // items live in buf[head:]; capacity is retained across drains
 	head    int
 	readers []*Proc
-	puts    int64
 	closed  bool
 }
 
@@ -25,16 +24,12 @@ func (c *Chan[T]) Name() string { return c.name }
 // Len returns the number of buffered items.
 func (c *Chan[T]) Len() int { return len(c.buf) - c.head }
 
-// Puts returns the total number of items ever put.
-func (c *Chan[T]) Puts() int64 { return c.puts }
-
 // Put appends v and wakes the longest-waiting reader, if any.
 // It may be called from kernel or process context.
 func (c *Chan[T]) Put(v T) {
 	if c.closed {
 		panic("sim: put on closed Chan " + c.name)
 	}
-	c.puts++
 	c.buf = append(c.buf, v)
 	c.wakeOne()
 }
@@ -50,9 +45,6 @@ func (c *Chan[T]) Close() {
 		c.wakeOne()
 	}
 }
-
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
 
 func (c *Chan[T]) wakeOne() {
 	if len(c.readers) == 0 {

@@ -47,9 +47,6 @@ func (s *Server) Name() string { return s.name }
 // Cap returns the number of identical servers at this station.
 func (s *Server) Cap() int { return s.cap }
 
-// InUse returns the number of currently busy servers.
-func (s *Server) InUse() int { return s.busy }
-
 // QueueLen returns the number of processes waiting for a server.
 func (s *Server) QueueLen() int { return len(s.q) }
 

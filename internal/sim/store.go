@@ -16,7 +16,6 @@ type Store struct {
 
 	lastT   Time
 	usedInt float64
-	grants  int64
 }
 
 type storeWaiter struct {
@@ -60,7 +59,6 @@ func (st *Store) Get(p *Proc, n int) {
 	st.advance()
 	if len(st.q) == 0 && st.level >= n {
 		st.level -= n
-		st.grants++
 		return
 	}
 	var w *storeWaiter
@@ -83,7 +81,6 @@ func (st *Store) TryGet(n int) bool {
 	st.advance()
 	if len(st.q) == 0 && st.level >= n {
 		st.level -= n
-		st.grants++
 		return true
 	}
 	return false
@@ -109,7 +106,6 @@ func (st *Store) drain() {
 		st.q[len(st.q)-1] = nil
 		st.q = st.q[:len(st.q)-1]
 		st.level -= w.n
-		st.grants++
 		w.p.unpark()
 		w.p = nil
 		st.free = append(st.free, w)
@@ -132,6 +128,3 @@ func (st *Store) Utilization() float64 {
 	}
 	return st.MeanUsed() / float64(st.cap)
 }
-
-// Grants returns the number of satisfied Get/TryGet requests.
-func (st *Store) Grants() int64 { return st.grants }

@@ -1,7 +1,6 @@
 package dynlb
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -37,42 +36,6 @@ type Replication struct {
 	MemUtil  MeanCI `json:"mem_util"`   // mean memory utilization, 0..1
 	Degree   MeanCI `json:"degree"`     // achieved degree of join parallelism
 	TempIO   MeanCI `json:"temp_io"`    // temporary-file I/O pages in the window
-}
-
-// Replicated bundles the outcome of replicated runs of one configuration.
-type Replicated struct {
-	Runs []Results   // per-seed results, in seed order
-	Mean Results     // field-wise across-replicate means (counts rounded)
-	Rep  Replication // mean ± CI half-width of the headline metrics
-}
-
-// RunReplicated simulates cfg under the strategy once per seed (replicates
-// run concurrently, one kernel each) and aggregates the runs at the default
-// 95% confidence level. Derive seeds with ReplicateSeeds for the standard
-// deterministic stream, or pass any explicit seed list.
-//
-// Deprecated: use the Experiment API over a single-point Sweep (WithRuns
-// recovers the per-replicate Results in Row.Runs):
-//
-//	NewExperiment(Sweep{Base: cfg, Strategies: []Strategy{s}}, WithSeeds(seeds...), WithRuns()).Run(ctx)
-func RunReplicated(cfg Config, s Strategy, seeds []int64) (Replicated, error) {
-	return RunReplicatedConf(cfg, s, seeds, DefaultConfidence)
-}
-
-// RunReplicatedConf is RunReplicated at an explicit confidence level in
-// (0, 1).
-//
-// Deprecated: use the Experiment API with WithConfidence(conf).
-func RunReplicatedConf(cfg Config, s Strategy, seeds []int64, conf float64) (Replicated, error) {
-	if len(seeds) == 0 {
-		return Replicated{}, fmt.Errorf("dynlb: RunReplicated needs at least one seed")
-	}
-	rows, err := NewExperiment(Sweep{Base: cfg, Strategies: []Strategy{s}},
-		WithSeeds(seeds...), WithConfidence(conf), WithRuns()).Run(context.Background())
-	if err != nil {
-		return Replicated{}, err
-	}
-	return Replicated{Runs: rows[0].Runs, Mean: rows[0].Res, Rep: *rows[0].Rep}, nil
 }
 
 // ReplicateSeeds returns the standard replicate seed stream for a base

@@ -1,6 +1,7 @@
 package dynlb
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -78,46 +79,29 @@ func TestRunReplicatedExtendsSingleRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunReplicated(cfg, st, ReplicateSeeds(cfg.Seed, 3))
+	rows, err := NewExperiment(Sweep{Base: cfg, Strategies: []Strategy{st}},
+		WithSeeds(ReplicateSeeds(cfg.Seed, 3)...), WithRuns()).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Runs) != 3 || rep.Rep.Reps != 3 || rep.Rep.Conf != DefaultConfidence {
-		t.Fatalf("replication shape: %d runs, rep %+v", len(rep.Runs), rep.Rep)
+	runs, mean, rep := rows[0].Runs, rows[0].Res, rows[0].Rep
+	if len(runs) != 3 || rep.Reps != 3 || rep.Conf != DefaultConfidence {
+		t.Fatalf("replication shape: %d runs, rep %+v", len(runs), rep)
 	}
-	if !reflect.DeepEqual(rep.Runs[0], single) {
-		t.Errorf("replicate 0 differs from the unreplicated run:\nrep0:   %+v\nsingle: %+v", rep.Runs[0], single)
+	if !reflect.DeepEqual(runs[0], single) {
+		t.Errorf("replicate 0 differs from the unreplicated run:\nrep0:   %+v\nsingle: %+v", runs[0], single)
 	}
 	// The aggregate mean must be bracketed by the replicate extremes.
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, r := range rep.Runs {
+	for _, r := range runs {
 		lo = math.Min(lo, r.JoinRT.MeanMS)
 		hi = math.Max(hi, r.JoinRT.MeanMS)
 	}
-	if rep.Mean.JoinRT.MeanMS < lo || rep.Mean.JoinRT.MeanMS > hi {
-		t.Errorf("mean RT %v outside replicate range [%v, %v]", rep.Mean.JoinRT.MeanMS, lo, hi)
+	if mean.JoinRT.MeanMS < lo || mean.JoinRT.MeanMS > hi {
+		t.Errorf("mean RT %v outside replicate range [%v, %v]", mean.JoinRT.MeanMS, lo, hi)
 	}
-	if rep.Rep.JoinRTMS.Mean != rep.Mean.JoinRT.MeanMS {
-		t.Errorf("Rep mean %v != Mean results %v", rep.Rep.JoinRTMS.Mean, rep.Mean.JoinRT.MeanMS)
-	}
-}
-
-func TestRunReplicatedRejectsBadArgs(t *testing.T) {
-	cfg := quickConfig()
-	st := MustStrategy("MIN-IO")
-	if _, err := RunReplicated(cfg, st, nil); err == nil {
-		t.Error("empty seed list accepted")
-	}
-	if _, err := RunReplicatedConf(cfg, st, []int64{1, 2}, 1.5); err == nil {
-		t.Error("confidence 1.5 accepted")
-	}
-	if _, err := RunReplicatedConf(cfg, st, []int64{1, 2}, 0); err == nil {
-		t.Error("confidence 0 accepted")
-	}
-	bad := cfg
-	bad.NPE = 0
-	if _, err := RunReplicated(bad, st, []int64{1}); err == nil {
-		t.Error("invalid config accepted")
+	if rep.JoinRTMS.Mean != mean.JoinRT.MeanMS {
+		t.Errorf("Rep mean %v != Mean results %v", rep.JoinRTMS.Mean, mean.JoinRT.MeanMS)
 	}
 }
 

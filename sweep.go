@@ -129,9 +129,10 @@ func IntAxis(name string, set func(*Config, int), values ...int) Axis {
 //
 // Points enumerate with the first (x) axis outermost, further axes inside
 // it, strategies innermost. A sweep with no axes is a single point per
-// strategy (X 0) — the degenerate form the single-configuration wrappers
-// use. Under WithCompare the strategy dimension is replaced by the compared
-// pair, so Strategies must be empty.
+// strategy (X 0): replicating or comparing one configuration is
+// NewExperiment over such a sweep with WithSeeds or WithCompare. Under
+// WithCompare the strategy dimension is replaced by the compared pair, so
+// Strategies must be empty.
 type Sweep struct {
 	Name       string     // Row.Figure label; default "sweep"
 	Base       Config     // windows/seed defaults; overridden by WithScale/WithSeed
