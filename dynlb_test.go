@@ -3,6 +3,7 @@ package dynlb
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -32,11 +33,47 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidConfig: Validate turns every config the simulation
+// cannot run into an error, rather than letting it panic mid-run (which Run
+// would report as "simulation panicked") or run on NaN.
 func TestRunRejectsInvalidConfig(t *testing.T) {
-	cfg := quickConfig()
-	cfg.NPE = 0
-	if _, err := Run(cfg, MustStrategy("MIN-IO")); err == nil {
-		t.Error("invalid config accepted")
+	nan := math.NaN()
+	cases := map[string]func(*Config){
+		"NPE 0":                  func(c *Config) { c.NPE = 0 },
+		"TupleBytes 0":           func(c *Config) { c.TupleBytes = 0 },
+		"Disk.Prefetch 0":        func(c *Config) { c.Disk.Prefetch = 0 },
+		"Net.PacketBytes 0":      func(c *Config) { c.Net.PacketBytes = 0 },
+		"CtrlSmoothing 0":        func(c *Config) { c.CtrlSmoothing = 0 },
+		"CtrlSmoothing 5":        func(c *Config) { c.CtrlSmoothing = 5 },
+		"ReportInterval -1":      func(c *Config) { c.ReportInterval = -1 },
+		"MIPS NaN":               func(c *Config) { c.MIPS = nan },
+		"ScanSelectivity NaN":    func(c *Config) { c.ScanSelectivity = nan },
+		"FudgeFactor NaN":        func(c *Config) { c.FudgeFactor = nan },
+		"AFraction NaN":          func(c *Config) { c.AFraction = nan },
+		"RedistributionSkew NaN": func(c *Config) { c.RedistributionSkew = nan },
+		"OLTP hot probability NaN": func(c *Config) {
+			c.OLTP.Placement = OLTPOnBNode
+			c.OLTP.HotAccessProb = nan
+		},
+	}
+	base := DefaultConfig()
+	base.NPE = 5
+	base.JoinQPSPerPE = 0.1
+	base.Warmup = Seconds(0.5)
+	base.MeasureTime = Seconds(1)
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base config invalid: %v", err)
+	}
+	for name, mutate := range cases {
+		cfg := base
+		mutate(&cfg)
+		_, err := Run(cfg, MustStrategy("OPT-IO-CPU"))
+		switch {
+		case err == nil:
+			t.Errorf("%s: invalid config accepted", name)
+		case strings.Contains(err.Error(), "panicked"):
+			t.Errorf("%s: rejected by a panic, not by Validate: %.120s", name, err)
+		}
 	}
 }
 

@@ -426,10 +426,3 @@ func (m *Manager) moveFront(f *frame) {
 	m.remove(f)
 	m.pushFront(f)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

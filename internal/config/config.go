@@ -124,7 +124,6 @@ type Config struct {
 	CPUsPerPE   int     // CPU servers per PE
 	MIPS        float64 // capacity per CPU in MIPS
 	BufferPages int     // main-memory buffer per PE (50 pages = 0.4 MB)
-	PageBytes   int     // page size (8 KB)
 	DisksPerPE  int     // database/temp disks per PE
 	Disk        disk.Params
 	Net         netw.Params
@@ -133,12 +132,11 @@ type Config struct {
 	Costs CPUCosts
 
 	// Database profile.
-	ATuples     int64   // inner relation A (250,000)
-	BTuples     int64   // outer relation B (1,000,000)
-	TupleBytes  int     // 400 B
-	Blocking    int     // tuples per page (20)
-	IndexFanout int     // B+-tree fanout
-	AFraction   float64 // fraction of PEs holding A (0.2); B gets the rest
+	ATuples    int64   // inner relation A (250,000)
+	BTuples    int64   // outer relation B (1,000,000)
+	TupleBytes int     // 400 B
+	Blocking   int     // tuples per page (20)
+	AFraction  float64 // fraction of PEs holding A (0.2); B gets the rest
 
 	// Join query profile.
 	ScanSelectivity float64 // fraction of tuples matching the scan predicates
@@ -199,7 +197,6 @@ func Default() Config {
 		CPUsPerPE:   1,
 		MIPS:        20,
 		BufferPages: 50,
-		PageBytes:   8 * 1024,
 		DisksPerPE:  10,
 		Disk:        disk.Defaults(),
 		Net:         netw.Defaults(),
@@ -207,12 +204,11 @@ func Default() Config {
 
 		Costs: DefaultCosts(),
 
-		ATuples:     250_000,
-		BTuples:     1_000_000,
-		TupleBytes:  400,
-		Blocking:    20,
-		IndexFanout: 200,
-		AFraction:   0.2,
+		ATuples:    250_000,
+		BTuples:    1_000_000,
+		TupleBytes: 400,
+		Blocking:   20,
+		AFraction:  0.2,
 
 		ScanSelectivity: 0.01,
 		FudgeFactor:     1.05,
@@ -232,15 +228,16 @@ func Default() Config {
 	}
 }
 
-// Validate checks the configuration for structural errors.
+// Validate checks the configuration for structural errors. Float bounds
+// are written as !(in range) so that NaN fails them too.
 func (c *Config) Validate() error {
 	switch {
 	case c.NPE < 2:
 		return fmt.Errorf("config: NPE %d < 2", c.NPE)
 	case c.CPUsPerPE < 1:
 		return fmt.Errorf("config: CPUsPerPE %d < 1", c.CPUsPerPE)
-	case c.MIPS <= 0:
-		return fmt.Errorf("config: MIPS %v <= 0", c.MIPS)
+	case !(c.MIPS > 0):
+		return fmt.Errorf("config: MIPS %v not > 0", c.MIPS)
 	case c.BufferPages < 2:
 		return fmt.Errorf("config: BufferPages %d < 2", c.BufferPages)
 	case c.DisksPerPE < 1:
@@ -249,16 +246,26 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: MPL %d < 1", c.MPL)
 	case c.ATuples <= 0 || c.BTuples <= 0:
 		return fmt.Errorf("config: relation sizes %d/%d", c.ATuples, c.BTuples)
+	case c.TupleBytes < 1:
+		return fmt.Errorf("config: TupleBytes %d < 1", c.TupleBytes)
 	case c.Blocking < 1:
 		return fmt.Errorf("config: blocking factor %d", c.Blocking)
-	case c.ScanSelectivity < 0 || c.ScanSelectivity > 1:
+	case c.Net.PacketBytes < 1:
+		return fmt.Errorf("config: Net.PacketBytes %d < 1", c.Net.PacketBytes)
+	case c.Disk.Prefetch < 1:
+		return fmt.Errorf("config: Disk.Prefetch %d < 1", c.Disk.Prefetch)
+	case !(c.ScanSelectivity >= 0 && c.ScanSelectivity <= 1):
 		return fmt.Errorf("config: scan selectivity %v outside [0,1]", c.ScanSelectivity)
-	case c.FudgeFactor < 1:
-		return fmt.Errorf("config: fudge factor %v < 1", c.FudgeFactor)
-	case c.AFraction <= 0 || c.AFraction >= 1:
+	case !(c.FudgeFactor >= 1):
+		return fmt.Errorf("config: fudge factor %v not >= 1", c.FudgeFactor)
+	case !(c.AFraction > 0 && c.AFraction < 1):
 		return fmt.Errorf("config: A fraction %v outside (0,1)", c.AFraction)
-	case c.RedistributionSkew < 0 || c.RedistributionSkew > 2:
+	case !(c.RedistributionSkew >= 0 && c.RedistributionSkew <= 2):
 		return fmt.Errorf("config: redistribution skew %v outside [0,2]", c.RedistributionSkew)
+	case !(c.CtrlSmoothing > 0 && c.CtrlSmoothing <= 1):
+		return fmt.Errorf("config: control smoothing %v outside (0,1]", c.CtrlSmoothing)
+	case c.ReportInterval <= 0:
+		return fmt.Errorf("config: report interval %v <= 0", c.ReportInterval)
 	case c.MeasureTime <= 0:
 		return fmt.Errorf("config: measure time %v <= 0", c.MeasureTime)
 	case c.MetricsWindow < 0:
@@ -275,16 +282,16 @@ func (c *Config) Validate() error {
 		return err
 	}
 	for i, sc := range c.ScanClasses {
-		if sc.QPSPerPE <= 0 || sc.Selectivity <= 0 || sc.Selectivity > 1 {
+		if !(sc.QPSPerPE > 0 && sc.Selectivity > 0 && sc.Selectivity <= 1) {
 			return fmt.Errorf("config: scan class %d (%s) invalid: %+v", i, sc.Name, sc)
 		}
 	}
 	if c.OLTP.Placement != OLTPNone {
 		o := c.OLTP
-		if o.TPSPerNode <= 0 || o.AccessesPerTx < 1 || o.AccountPages < 1 {
+		if !(o.TPSPerNode > 0) || o.AccessesPerTx < 1 || o.AccountPages < 1 {
 			return fmt.Errorf("config: OLTP profile %+v invalid", o)
 		}
-		if o.HotAccessProb < 0 || o.HotAccessProb > 1 {
+		if !(o.HotAccessProb >= 0 && o.HotAccessProb <= 1) {
 			return fmt.Errorf("config: OLTP hot access probability %v", o.HotAccessProb)
 		}
 	}

@@ -165,10 +165,3 @@ func clampDegree(p, n int) int {
 	}
 	return p
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

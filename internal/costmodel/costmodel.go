@@ -15,6 +15,8 @@
 package costmodel
 
 import (
+	"math"
+
 	"dynlb/internal/config"
 	"dynlb/internal/sim"
 )
@@ -33,7 +35,7 @@ func (m *Model) PsuNoIO() int {
 	c := &m.cfg
 	need := float64(c.AScanPages()) * c.FudgeFactor
 	perPE := float64(c.BufferPages)
-	p := int(ceil(need / perPE))
+	p := int(math.Ceil(need / perPE))
 	if p < 1 {
 		p = 1
 	}
@@ -192,19 +194,4 @@ func ceilDiv(a, b int64) int64 {
 		return 0
 	}
 	return (a + b - 1) / b
-}
-
-func ceil(f float64) float64 {
-	i := float64(int64(f))
-	if f > i {
-		return i + 1
-	}
-	return i
-}
-
-func maxT(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

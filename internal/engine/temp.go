@@ -105,7 +105,3 @@ func (tf *tempFile) read(p *sim.Proc, pages int64) {
 		s.tempIOPages++
 	}
 }
-
-// resetRead rewinds the read cursor (each deferred partition pass walks its
-// own region; sequential approximation).
-func (tf *tempFile) resetRead() { tf.readCursor = 0 }

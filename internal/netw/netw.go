@@ -115,23 +115,6 @@ func (nw *Network) SendFn(from, to int, bytes int64, deliver, then func()) {
 	})
 }
 
-// SendAsync transmits without blocking the caller: a light process carries
-// the message through the sender link. Used for fire-and-forget control
-// messages (utilization reports, commit acknowledgements).
-func (nw *Network) SendAsync(from, to int, bytes int64, deliver func()) {
-	nw.check(from)
-	nw.check(to)
-	if from == to {
-		nw.msgs++
-		nw.localMsgs++
-		deliver()
-		return
-	}
-	nw.k.SpawnFn(func() {
-		nw.SendFn(from, to, bytes, deliver, func() {})
-	})
-}
-
 func (nw *Network) check(pe int) {
 	if pe < 0 || pe >= len(nw.links) {
 		panic(fmt.Sprintf("netw: PE %d of %d", pe, len(nw.links)))

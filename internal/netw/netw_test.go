@@ -97,25 +97,6 @@ func TestDistinctLinksParallel(t *testing.T) {
 	}
 }
 
-func TestSendAsyncDoesNotBlock(t *testing.T) {
-	k := sim.NewKernel()
-	nw := New(k, 2, Defaults())
-	delivered := false
-	var elapsed sim.Time
-	k.Spawn("s", func(p *sim.Proc) {
-		start := p.Now()
-		nw.SendAsync(0, 1, 8192, func() { delivered = true })
-		elapsed = p.Now() - start
-	})
-	k.RunAll()
-	if elapsed != 0 {
-		t.Errorf("SendAsync blocked for %v", elapsed)
-	}
-	if !delivered {
-		t.Error("async message not delivered")
-	}
-}
-
 func TestCounters(t *testing.T) {
 	k := sim.NewKernel()
 	nw := New(k, 2, Defaults())
@@ -143,7 +124,7 @@ func TestInvalidPEPanics(t *testing.T) {
 			t.Error("out-of-range PE did not panic")
 		}
 	}()
-	nw.SendAsync(0, 5, 1, func() {})
+	nw.SendFn(0, 5, 1, func() {}, func() {})
 }
 
 // Property: delivery count equals send count, and packet count matches the
@@ -158,7 +139,9 @@ func TestQuickDeliveryConservation(t *testing.T) {
 			from, to := i%4, (i+1)%4
 			b := int64(sz)
 			wantPkts += int64(nw.Packets(b))
-			nw.SendAsync(from, to, b, func() { delivered++ })
+			k.SpawnFn(func() {
+				nw.SendFn(from, to, b, func() { delivered++ }, func() {})
+			})
 		}
 		k.RunAll()
 		return delivered == len(sizes) && nw.PacketsSent() == wantPkts

@@ -5,7 +5,6 @@ package prof
 import (
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 )
 
@@ -44,18 +43,4 @@ func WriteHeap(path string) (err error) {
 	}()
 	runtime.GC() // materialize up-to-date heap statistics
 	return pprof.Lookup("allocs").WriteTo(f, 0)
-}
-
-// LiveBytes returns the process's resident simulation footprint: heap plus
-// goroutine stacks actually in use, after garbage has been collected and
-// free spans returned to the OS. It is the measurement behind the
-// clients-per-GB capacity figures (BENCH_kernel.json): sample it before and
-// after standing up a simulation and divide the delta into the client
-// count. The forced GC makes it expensive — call it between runs, not
-// inside one.
-func LiveBytes() uint64 {
-	debug.FreeOSMemory() // GC + scavenge so retained spans don't inflate the gauge
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.StackInuse + m.HeapInuse
 }

@@ -533,16 +533,16 @@ func (s *Scheduler) slotDone(j *Job, i int, runErr error) {
 	j.completed++
 	finished := j.completed == j.total
 	if finished {
+		// The rows slice is append-only and final here, so the cache can
+		// share it. It goes in before done closes, so whoever sees the job
+		// finish and resubmits gets a cache hit.
+		s.cache.Put(j.key, j.rows)
 		j.state = JobDone
 		close(j.done)
 	}
 	j.bump()
-	key, cacheRows := j.key, j.rows
 	j.mu.Unlock()
 	if finished {
-		// The rows slice is append-only and final here, so the cache can
-		// share it.
-		s.cache.Put(key, cacheRows)
 		s.release(j)
 	}
 }

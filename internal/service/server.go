@@ -209,7 +209,12 @@ func (s *Server) collect(w http.ResponseWriter, r *http.Request, j *Job, format 
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	dynlb.WriteRowsJSON(w, rows) //nolint:errcheck
+	var ue *json.UnsupportedValueError
+	if err := dynlb.WriteRowsJSON(w, rows); errors.As(err, &ue) {
+		// A non-finite metric fails the encoding before anything is
+		// written, so the error can still be the response.
+		writeError(w, http.StatusInternalServerError, err)
+	}
 }
 
 func (s *Server) health(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -183,6 +184,33 @@ func TestServerEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if !bytes.Equal(collected, wantCSV.Bytes()) {
 		t.Error("format=csv bytes differ from library CSV")
+	}
+}
+
+// TestServerCollectJSONNonFinite: a row holding NaN answers the JSON
+// collect with a 500 carrying the encoder's error, not a 200 with an empty
+// body. The row reaches the job through the cache, as no simulation
+// produces one.
+func TestServerCollectJSONNonFinite(t *testing.T) {
+	ts, sched := newTestServer(t, 1, 4, 4)
+	req := dynlb.ExperimentRequest{Figure: "1c", Scale: "quick"}
+	key, err := req.CacheKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.cache.Put(key, []dynlb.Row{{Figure: "1c", JoinRTMS: math.NaN()}})
+	code, st, _ := postJSON(t, ts.URL, req)
+	if code != http.StatusOK || !st.Cached {
+		t.Fatalf("submit: code %d, cached %v; want a cache hit", code, st.Cached)
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v1/experiments/%s/rows?format=json", ts.URL, st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "unsupported value: NaN") {
+		t.Errorf("collect: %d %s; want 500 with the encoder's error", resp.StatusCode, body)
 	}
 }
 

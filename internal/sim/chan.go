@@ -131,54 +131,3 @@ func (c *Chan[T]) TryGet() (v T, ok bool) {
 	}
 	return c.take(), true
 }
-
-// Barrier counts down from n; processes calling Wait block until Done has
-// been called n times. It implements phase synchronization (e.g. "all scan
-// subqueries finished, start probing").
-type Barrier struct {
-	k       *Kernel
-	name    string
-	pending int
-	waiters []*Proc
-}
-
-// NewBarrier creates a barrier expecting n Done calls.
-func NewBarrier(k *Kernel, name string, n int) *Barrier {
-	return &Barrier{k: k, name: name, pending: n}
-}
-
-// Done decrements the barrier count; at zero all waiters are released.
-func (b *Barrier) Done() {
-	b.pending--
-	if b.pending < 0 {
-		panic("sim: barrier " + b.name + " over-released")
-	}
-	if b.pending == 0 {
-		for _, p := range b.waiters {
-			p.unpark()
-		}
-		b.waiters = nil
-	}
-}
-
-// Add increases the expected Done count (only valid before release).
-func (b *Barrier) Add(n int) {
-	if b.pending == 0 {
-		panic("sim: barrier " + b.name + " add after release")
-	}
-	b.pending += n
-}
-
-// Wait blocks p until the barrier count reaches zero.
-func (b *Barrier) Wait(p *Proc) {
-	if b.pending == 0 {
-		return
-	}
-	b.waiters = append(b.waiters, p)
-	b.k.blocked++
-	p.block()
-	b.k.blocked--
-}
-
-// Pending returns the remaining Done count.
-func (b *Barrier) Pending() int { return b.pending }

@@ -140,61 +140,6 @@ func TestChanTryGet(t *testing.T) {
 	}
 }
 
-func TestBarrierReleasesAllWaiters(t *testing.T) {
-	k := NewKernel()
-	b := NewBarrier(k, "phase", 3)
-	var released []Time
-	for i := 0; i < 2; i++ {
-		k.Spawn("w", func(p *Proc) {
-			b.Wait(p)
-			released = append(released, p.Now())
-		})
-	}
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("d", func(p *Proc) {
-			p.Wait(Duration(i+1) * Millisecond)
-			b.Done()
-		})
-	}
-	k.RunAll()
-	if len(released) != 2 {
-		t.Fatalf("released %d waiters, want 2", len(released))
-	}
-	for _, at := range released {
-		if at != 3*Millisecond {
-			t.Fatalf("released at %v, want 3ms", at)
-		}
-	}
-}
-
-func TestBarrierWaitAfterRelease(t *testing.T) {
-	k := NewKernel()
-	b := NewBarrier(k, "phase", 1)
-	b.Done()
-	done := false
-	k.Spawn("w", func(p *Proc) {
-		b.Wait(p) // should not block
-		done = true
-	})
-	k.RunAll()
-	if !done {
-		t.Fatal("Wait on released barrier blocked")
-	}
-}
-
-func TestBarrierOverReleasePanics(t *testing.T) {
-	k := NewKernel()
-	b := NewBarrier(k, "phase", 1)
-	b.Done()
-	defer func() {
-		if recover() == nil {
-			t.Error("over-release did not panic")
-		}
-	}()
-	b.Done()
-}
-
 // Property: a chan delivers every item exactly once and in FIFO order,
 // regardless of interleaving of producer and consumer delays.
 func TestQuickChanFIFO(t *testing.T) {

@@ -215,21 +215,6 @@ func TestProcWaitZeroIsNoop(t *testing.T) {
 	}
 }
 
-func TestProcWaitUntil(t *testing.T) {
-	k := NewKernel()
-	var ts []Time
-	k.Spawn("p", func(p *Proc) {
-		p.WaitUntil(5 * Millisecond)
-		ts = append(ts, p.Now())
-		p.WaitUntil(3 * Millisecond) // in the past: no-op
-		ts = append(ts, p.Now())
-	})
-	k.RunAll()
-	if ts[0] != 5*Millisecond || ts[1] != 5*Millisecond {
-		t.Fatalf("WaitUntil times %v", ts)
-	}
-}
-
 func TestSpawnWithinProcess(t *testing.T) {
 	k := NewKernel()
 	var order []string

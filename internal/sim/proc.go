@@ -304,11 +304,3 @@ func (p *Proc) Wait(d Duration) {
 	p.k.atProc(p.k.now+d, p)
 	p.block()
 }
-
-// WaitUntil suspends the process until absolute time t (no-op if t <= now).
-func (p *Proc) WaitUntil(t Time) {
-	if t <= p.k.now {
-		return
-	}
-	p.Wait(t - p.k.now)
-}

@@ -75,17 +75,6 @@ func (st *Store) Get(p *Proc, n int) {
 	st.k.blocked--
 }
 
-// TryGet acquires n units if immediately available (and no earlier waiter is
-// queued); it reports whether the acquisition happened.
-func (st *Store) TryGet(n int) bool {
-	st.advance()
-	if len(st.q) == 0 && st.level >= n {
-		st.level -= n
-		return true
-	}
-	return false
-}
-
 // Put returns n units and wakes queued requests that now fit, in FCFS order.
 func (st *Store) Put(n int) {
 	if n < 0 {

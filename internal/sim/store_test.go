@@ -46,44 +46,6 @@ func TestStoreFCFSHeadBlocksSmallerRequests(t *testing.T) {
 	}
 }
 
-func TestStoreTryGet(t *testing.T) {
-	k := NewKernel()
-	st := NewStore(k, "mem", 5)
-	if !st.TryGet(5) {
-		t.Fatal("TryGet(5) on full store failed")
-	}
-	if st.TryGet(1) {
-		t.Fatal("TryGet(1) on empty store succeeded")
-	}
-	st.Put(2)
-	if !st.TryGet(2) {
-		t.Fatal("TryGet(2) after Put(2) failed")
-	}
-}
-
-func TestStoreTryGetRespectsQueue(t *testing.T) {
-	k := NewKernel()
-	st := NewStore(k, "mem", 10)
-	k.Spawn("holder", func(p *Proc) {
-		st.Get(p, 10)
-		p.Wait(10 * Millisecond)
-		st.Put(10)
-	})
-	k.SpawnAt(Microsecond, "waiter", func(p *Proc) {
-		st.Get(p, 4)
-		p.Wait(10 * Millisecond)
-		st.Put(4)
-	})
-	k.SpawnAt(2*Microsecond, "try", func(p *Proc) {
-		p.Wait(10 * Millisecond) // now holder released, waiter holds 4, level 6
-		if !st.TryGet(6) {
-			t.Error("TryGet(6) with empty queue and level 6 failed")
-		}
-		st.Put(6)
-	})
-	k.RunAll()
-}
-
 func TestStoreOverfillPanics(t *testing.T) {
 	k := NewKernel()
 	st := NewStore(k, "mem", 5)

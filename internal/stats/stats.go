@@ -1,6 +1,6 @@
 // Package stats collects simulation metrics: response-time samples with a
-// warm-up cut, counters, and summary statistics (mean, percentiles,
-// confidence half-widths) used to report the paper's figures.
+// warm-up cut and summary statistics (mean, percentiles, confidence
+// half-widths) used to report the paper's figures.
 package stats
 
 import (
@@ -121,29 +121,3 @@ func (s *Sample) HalfWidth95() float64 {
 func (s *Sample) String() string {
 	return fmt.Sprintf("%s: n=%d mean=%.2f sd=%.2f p95=%.2f", s.name, s.N(), s.Mean(), s.Stddev(), s.Percentile(95))
 }
-
-// Counter is a named monotone event counter.
-type Counter struct {
-	name string
-	n    int64
-}
-
-// NewCounter creates a counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n (n may be zero, never negative).
-func (c *Counter) Addn(n int64) {
-	if n < 0 {
-		panic("stats: counter decrement")
-	}
-	c.n += n
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Name returns the counter name.
-func (c *Counter) Name() string { return c.name }

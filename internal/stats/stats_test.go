@@ -80,21 +80,6 @@ func TestHalfWidthShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter("io")
-	c.Inc()
-	c.Addn(4)
-	if c.Value() != 5 {
-		t.Errorf("value=%d, want 5", c.Value())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative Addn did not panic")
-		}
-	}()
-	c.Addn(-1)
-}
-
 // Property: mean is bounded by [min, max] and stddev is non-negative.
 func TestQuickMeanBounds(t *testing.T) {
 	f := func(vals []float64) bool {

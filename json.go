@@ -23,103 +23,26 @@ import (
 // unreplicated and steady-state rows stay small). An empty row set encodes
 // as [], not null.
 //
-// encoding/json rejects non-finite floats outright, which would fail an
-// entire sweep export over one degenerate metric (a ±Inf improvement ratio
-// against a zero baseline, a NaN correlation of constant replicates — the
-// upstream aggregations guard the known cases, but the export must not be
-// the component that dies). Any residual NaN/±Inf metric is therefore
-// written as 0, on a copy: the caller's rows are never modified.
+// A NaN or ±Inf metric fails the export with encoding/json's error, and
+// nothing is written: the simulation and the row aggregations guard the
+// ratios they form, so a non-finite value is a defect to surface, not a
+// number to write.
 func WriteRowsJSON(out io.Writer, rows []Row) error {
 	if rows == nil {
 		rows = []Row{}
 	}
-	rows = sanitizeRows(rows)
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rows)
 }
 
-// sanitizeRows returns rows with every reachable non-finite float replaced
-// by 0. The clean case — every export but a degenerate one — returns the
-// input slice untouched with no copying; a dirty set is scrubbed on copies,
-// cloning shared pointers, slices and maps before mutating them.
-func sanitizeRows(rows []Row) []Row {
-	dirty := false
-	for i := range rows {
-		if hasNonFinite(reflect.ValueOf(rows[i])) {
-			dirty = true
-			break
-		}
-	}
-	if !dirty {
-		return rows
-	}
-	clone := make([]Row, len(rows))
-	copy(clone, rows)
-	for i := range clone {
-		scrub(reflect.ValueOf(&clone[i]).Elem())
-	}
-	return clone
-}
-
-// scrub replaces every non-finite float reachable from v with 0. v must be
-// addressable; nested pointers, slices and maps are cloned before mutation
-// (and only when they actually contain a non-finite value), so data shared
-// with the caller is never written to.
-func scrub(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Float32, reflect.Float64:
-		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
-			v.SetFloat(0)
-		}
-	case reflect.Pointer:
-		if v.IsNil() || !hasNonFinite(v.Elem()) {
-			return
-		}
-		c := reflect.New(v.Type().Elem())
-		c.Elem().Set(v.Elem())
-		scrub(c.Elem())
-		v.Set(c)
-	case reflect.Slice:
-		if v.IsNil() || !hasNonFinite(v) {
-			return
-		}
-		c := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
-		reflect.Copy(c, v)
-		for i := 0; i < c.Len(); i++ {
-			scrub(c.Index(i))
-		}
-		v.Set(c)
-	case reflect.Map:
-		if v.IsNil() || !hasNonFinite(v) {
-			return
-		}
-		c := reflect.MakeMapWithSize(v.Type(), v.Len())
-		iter := v.MapRange()
-		for iter.Next() {
-			// Map values are not addressable: scrub a settable copy.
-			mv := reflect.New(iter.Value().Type()).Elem()
-			mv.Set(iter.Value())
-			scrub(mv)
-			c.SetMapIndex(iter.Key(), mv)
-		}
-		v.Set(c)
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if f := v.Field(i); f.CanSet() {
-				scrub(f)
-			}
-		}
-	}
-}
-
 // MarshalRowJSON encodes one row as compact single-line JSON — the SSE
-// data-frame form internal/service streams — with the same non-finite
-// sanitization as WriteRowsJSON. The encoding round-trips exactly: every
-// float64 is written in its shortest exact form, so a Row decoded from the
-// output reproduces the original byte for byte through WriteRowsCSV.
+// data-frame form internal/service streams. Like WriteRowsJSON it fails on a
+// NaN or ±Inf metric. The encoding round-trips exactly: every float64 is
+// written in its shortest exact form, so a Row decoded from the output
+// reproduces the original byte for byte through WriteRowsCSV.
 func MarshalRowJSON(r Row) ([]byte, error) {
-	return json.Marshal(sanitizeRows([]Row{r})[0])
+	return json.Marshal(r)
 }
 
 // ExperimentRequest is the wire form of an Experiment: a JSON document
@@ -443,35 +366,4 @@ func (r *ExperimentRequest) CacheKey() (string, error) {
 		return "", err
 	}
 	return string(key), nil
-}
-
-// hasNonFinite reports whether any float reachable from v is NaN or ±Inf.
-func hasNonFinite(v reflect.Value) bool {
-	switch v.Kind() {
-	case reflect.Float32, reflect.Float64:
-		f := v.Float()
-		return math.IsNaN(f) || math.IsInf(f, 0)
-	case reflect.Pointer:
-		return !v.IsNil() && hasNonFinite(v.Elem())
-	case reflect.Slice, reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if hasNonFinite(v.Index(i)) {
-				return true
-			}
-		}
-	case reflect.Map:
-		iter := v.MapRange()
-		for iter.Next() {
-			if hasNonFinite(iter.Value()) {
-				return true
-			}
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if hasNonFinite(v.Field(i)) {
-				return true
-			}
-		}
-	}
-	return false
 }

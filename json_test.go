@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -75,6 +76,30 @@ func TestWriteRowsJSONEmpty(t *testing.T) {
 	}
 }
 
+// TestWriteRowsJSONRejectsNonFinite: a NaN or ±Inf metric anywhere in a
+// row — top level, Extra, a window, behind the Cmp pointer — fails the
+// export with encoding/json's error and writes nothing.
+func TestWriteRowsJSONRejectsNonFinite(t *testing.T) {
+	inf := math.Inf(1)
+	cases := map[string]Row{
+		"top level": {JoinRTMS: math.NaN()},
+		"extra":     {Extra: map[string]float64{"ratio": inf}},
+		"window":    {Res: Results{Windows: []Window{{RTMeanMS: math.Inf(-1)}}}},
+		"cmp":       {Cmp: &PairedComparison{JoinRTMS: DeltaCI{Improv: MeanCI{Mean: inf}}}},
+	}
+	for name, row := range cases {
+		var buf bytes.Buffer
+		err := WriteRowsJSON(&buf, []Row{{Figure: "ok"}, row})
+		var uve *json.UnsupportedValueError
+		if !errors.As(err, &uve) {
+			t.Errorf("%s: err = %v, want *json.UnsupportedValueError", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: failed export wrote %d bytes", name, buf.Len())
+		}
+	}
+}
+
 // TestMarshalRowJSONRoundTrip: the SSE row frame round-trips exactly — a
 // Row decoded from MarshalRowJSON output reproduces every float bit for
 // bit, which is what makes server-collected CSV byte-identical to the
@@ -106,18 +131,11 @@ func TestMarshalRowJSONRoundTrip(t *testing.T) {
 		t.Errorf("row did not round-trip:\n got %+v\nwant %+v", back, row)
 	}
 
-	// Non-finite metrics are sanitized like WriteRowsJSON, not a marshal
-	// error.
+	// A non-finite metric fails the frame, like WriteRowsJSON.
 	row.Extra = map[string]float64{"bad": math.Inf(1)}
-	b, err = MarshalRowJSON(row)
-	if err != nil {
-		t.Fatalf("non-finite row: %v", err)
-	}
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Extra["bad"] != 0 {
-		t.Errorf("Inf metric serialized as %v, want 0", back.Extra["bad"])
+	var uve *json.UnsupportedValueError
+	if _, err := MarshalRowJSON(row); !errors.As(err, &uve) {
+		t.Errorf("non-finite row: err = %v, want *json.UnsupportedValueError", err)
 	}
 }
 

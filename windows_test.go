@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
-	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 )
@@ -169,49 +167,6 @@ func parseCSV(t *testing.T, rows []Row) [][]string {
 		t.Fatalf("emitted CSV does not parse: %v", err)
 	}
 	return recs
-}
-
-// TestWriteRowsJSONSanitizesNonFinite: a degenerate metric (NaN mean, ±Inf
-// improvement ratio) must not fail the whole export — encoding/json rejects
-// non-finite floats — and must not be scrubbed in the caller's rows either.
-func TestWriteRowsJSONSanitizesNonFinite(t *testing.T) {
-	inf := math.Inf(1)
-	rows := []Row{{
-		Figure: "bad", Series: "s",
-		JoinRTMS: math.NaN(),
-		Extra:    map[string]float64{"ratio": inf},
-		Res:      Results{Windows: []Window{{RTMeanMS: math.Inf(-1)}}},
-		Cmp:      &PairedComparison{JoinRTMS: DeltaCI{Improv: MeanCI{Mean: inf}}},
-	}}
-	var buf bytes.Buffer
-	if err := WriteRowsJSON(&buf, rows); err != nil {
-		t.Fatalf("non-finite metrics failed the export: %v", err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("sanitized output is not valid JSON: %v", err)
-	}
-	if got := decoded[0]["join_rt_ms"]; got != 0.0 {
-		t.Errorf("NaN join_rt_ms encoded as %v, want 0", got)
-	}
-	if got := decoded[0]["extra"].(map[string]any)["ratio"]; got != 0.0 {
-		t.Errorf("+Inf extra encoded as %v, want 0", got)
-	}
-
-	// The caller's rows — including data behind pointers, slices and maps —
-	// keep their non-finite values: the scrub works on copies.
-	if !math.IsNaN(rows[0].JoinRTMS) {
-		t.Error("caller's JoinRTMS was scrubbed")
-	}
-	if !math.IsInf(rows[0].Extra["ratio"], 1) {
-		t.Error("caller's Extra map was scrubbed")
-	}
-	if !math.IsInf(rows[0].Cmp.JoinRTMS.Improv.Mean, 1) {
-		t.Error("caller's Cmp was scrubbed through the pointer")
-	}
-	if !math.IsInf(rows[0].Res.Windows[0].RTMeanMS, -1) {
-		t.Error("caller's Windows slice was scrubbed")
-	}
 }
 
 // TestAggregateResultsWindows: window series aggregate element-wise onto a
