@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dynlb/internal/config"
 )
 
 func quickConfig() Config {
@@ -35,7 +37,7 @@ func TestRunSmoke(t *testing.T) {
 
 // TestRunRejectsInvalidConfig: Validate turns every config the simulation
 // cannot run into an error, rather than letting it panic mid-run (which Run
-// would report as "simulation panicked") or run on NaN.
+// would report as "simulation panicked"), hang at time 0 or run on NaN.
 func TestRunRejectsInvalidConfig(t *testing.T) {
 	nan := math.NaN()
 	cases := map[string]func(*Config){
@@ -54,6 +56,20 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 		"OLTP hot probability NaN": func(c *Config) {
 			c.OLTP.Placement = OLTPOnBNode
 			c.OLTP.HotAccessProb = nan
+		},
+		"Net.Latency -1ms":          func(c *Config) { c.Net.Latency = -Seconds(0.001) },
+		"Net.WirePerPacket -1ms":    func(c *Config) { c.Net.WirePerPacket = -Seconds(0.001) },
+		"Disk.CtrlPerPage -1ms":     func(c *Config) { c.Disk.CtrlPerPage = -Seconds(0.001) },
+		"Disk.TransferPerPage -1ms": func(c *Config) { c.Disk.TransferPerPage = -Seconds(0.001) },
+		"JoinQPSPerPE -1":           func(c *Config) { c.JoinQPSPerPE = -1 },
+		"JoinQPSPerPE NaN":          func(c *Config) { c.JoinQPSPerPE = nan },
+		"JoinQPSPerPE +Inf":         func(c *Config) { c.JoinQPSPerPE = math.Inf(1) },
+		"OLTP TPSPerNode +Inf": func(c *Config) {
+			c.OLTP.Placement = OLTPOnBNode
+			c.OLTP.TPSPerNode = math.Inf(1)
+		},
+		"scan class QPSPerPE +Inf": func(c *Config) {
+			c.ScanClasses = []config.ScanClass{{Name: "s", QPSPerPE: math.Inf(1), Selectivity: 0.01, Clustered: true}}
 		},
 	}
 	base := DefaultConfig()
@@ -155,7 +171,7 @@ func TestCustomStrategy(t *testing.T) {
 var errDecide = errors.New("decide failed")
 
 // panicky is a custom strategy whose Decide panics. The control node calls
-// Decide inside the simulation, in a light process.
+// Decide inside the simulation, in its "ctrl-decide" process.
 type panicky struct{}
 
 func (panicky) Name() string { return "custom-panicky" }

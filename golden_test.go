@@ -116,18 +116,12 @@ func TestGoldenFig6Quick(t *testing.T) {
 }
 
 // TestGoldenFig8CompareQuick locks the paired-comparison CSV shape and
-// bytes: Fig. 8's workload axis swept under psu-opt+RANDOM (the paper's
-// baseline) vs OPT-IO-CPU with three shared replicate seeds — replication
-// plus comparison columns in one file. Three replicates, not two: with
-// n=2 any non-constant pair has sample correlation exactly ±1, so the
-// locked rt_corr values would be degenerate rather than evidence of the
-// variance reduction.
+// bytes of the compared Fig. 8 sweep (fig8CompareRows): replication plus
+// comparison columns in one file.
 func TestGoldenFig8CompareQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation sweep")
 	}
 	skipUnlessGoldenArch(t)
-	rows := quickFigure(t, "8", 1,
-		WithCompare(MustStrategy("psu-opt+RANDOM"), MustStrategy("OPT-IO-CPU")), WithReps(3))
-	lockGolden(t, "fig8_compare_quick.csv", rows)
+	lockGolden(t, "fig8_compare_quick.csv", fig8CompareRows(t))
 }

@@ -7,6 +7,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"dynlb/internal/disk"
 	"dynlb/internal/netw"
@@ -254,6 +255,14 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: Net.PacketBytes %d < 1", c.Net.PacketBytes)
 	case c.Disk.Prefetch < 1:
 		return fmt.Errorf("config: Disk.Prefetch %d < 1", c.Disk.Prefetch)
+	case c.Net.WirePerPacket < 0 || c.Net.Latency < 0:
+		return fmt.Errorf("config: negative network time in %+v", c.Net)
+	case c.Disk.CtrlPerPage < 0 || c.Disk.TransferPerPage < 0 || c.Disk.AvgAccess < 0 || c.Disk.PrefetchPerPage < 0:
+		return fmt.Errorf("config: negative disk time in %+v", c.Disk)
+	case !(c.JoinQPSPerPE >= 0) || math.IsInf(c.JoinQPSPerPE, 1):
+		// An infinite rate rounds every interarrival time to 0 ns, so the
+		// arrival loop would never advance the clock.
+		return fmt.Errorf("config: JoinQPSPerPE %v not finite and >= 0", c.JoinQPSPerPE)
 	case !(c.ScanSelectivity >= 0 && c.ScanSelectivity <= 1):
 		return fmt.Errorf("config: scan selectivity %v outside [0,1]", c.ScanSelectivity)
 	case !(c.FudgeFactor >= 1):
@@ -282,13 +291,13 @@ func (c *Config) Validate() error {
 		return err
 	}
 	for i, sc := range c.ScanClasses {
-		if !(sc.QPSPerPE > 0 && sc.Selectivity > 0 && sc.Selectivity <= 1) {
+		if !(sc.QPSPerPE > 0 && !math.IsInf(sc.QPSPerPE, 1) && sc.Selectivity > 0 && sc.Selectivity <= 1) {
 			return fmt.Errorf("config: scan class %d (%s) invalid: %+v", i, sc.Name, sc)
 		}
 	}
 	if c.OLTP.Placement != OLTPNone {
 		o := c.OLTP
-		if !(o.TPSPerNode > 0) || o.AccessesPerTx < 1 || o.AccountPages < 1 {
+		if !(o.TPSPerNode > 0) || math.IsInf(o.TPSPerNode, 1) || o.AccessesPerTx < 1 || o.AccountPages < 1 {
 			return fmt.Errorf("config: OLTP profile %+v invalid", o)
 		}
 		if !(o.HotAccessProb >= 0 && o.HotAccessProb <= 1) {

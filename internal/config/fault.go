@@ -184,33 +184,8 @@ func ParseFault(spec string) (Fault, error) {
 	default:
 		return Fault{}, fmt.Errorf("config: unknown fault kind %q (want crash, slowdisk or straggler)", kind)
 	}
-	if params != "" {
-		for _, kv := range strings.Split(params, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-			switch {
-			case !ok, ints[key] == nil && durs[key] == nil && nums[key] == nil:
-				return Fault{}, fmt.Errorf("config: fault %q: unknown parameter %q for kind %s", spec, kv, f.Kind)
-			case ints[key] != nil:
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return Fault{}, fmt.Errorf("config: fault %q: %s: %v", spec, key, err)
-				}
-				*ints[key] = n
-			case durs[key] != nil:
-				d, err := time.ParseDuration(val)
-				if err != nil {
-					return Fault{}, fmt.Errorf("config: fault %q: %s: %v", spec, key, err)
-				}
-				*durs[key] = sim.Duration(d)
-			default:
-				v, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return Fault{}, fmt.Errorf("config: fault %q: %s: %v", spec, key, err)
-				}
-				*nums[key] = v
-			}
-		}
+	if err := parseParams("fault", spec, f.Kind, params, ints, durs, nums); err != nil {
+		return Fault{}, err
 	}
 	return f, nil
 }

@@ -275,30 +275,44 @@ func ParseProfile(spec string) (LoadProfile, error) {
 	default:
 		return LoadProfile{}, fmt.Errorf("config: unknown profile kind %q (want constant, square, diurnal, drift or flash)", kind)
 	}
-	if params != "" {
-		for _, kv := range strings.Split(params, ",") {
-			key, val, ok := strings.Cut(kv, "=")
-			key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-			switch {
-			case !ok, durs[key] == nil && nums[key] == nil:
-				return LoadProfile{}, fmt.Errorf("config: profile %q: unknown parameter %q for kind %s", spec, kv, lp.Kind)
-			case durs[key] != nil:
-				d, err := time.ParseDuration(val)
-				if err != nil {
-					return LoadProfile{}, fmt.Errorf("config: profile %q: %s: %v", spec, key, err)
-				}
-				*durs[key] = sim.Duration(d)
-			default:
-				v, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return LoadProfile{}, fmt.Errorf("config: profile %q: %s: %v", spec, key, err)
-				}
-				*nums[key] = v
-			}
-		}
+	if err := parseParams("profile", spec, lp.Kind, params, nil, durs, nums); err != nil {
+		return LoadProfile{}, err
 	}
 	if err := lp.Validate(); err != nil {
 		return LoadProfile{}, err
 	}
 	return lp, nil
+}
+
+// parseParams sets the fields a spec's comma-separated key=value parameters
+// name: keys in ints take strconv.Atoi syntax, keys in durs Go duration
+// syntax ("20s", "500ms"), keys in nums strconv.ParseFloat syntax. noun
+// ("profile" or "fault") and kind name the spec in errors; a key bound in
+// none of the maps is an unknown parameter.
+func parseParams(noun, spec string, kind fmt.Stringer, params string,
+	ints map[string]*int, durs map[string]*sim.Duration, nums map[string]*float64) error {
+	if params == "" {
+		return nil
+	}
+	for _, kv := range strings.Split(params, ",") {
+		key, val, ok := strings.Cut(kv, "=")
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		var err error
+		switch {
+		case !ok, ints[key] == nil && durs[key] == nil && nums[key] == nil:
+			return fmt.Errorf("config: %s %q: unknown parameter %q for kind %s", noun, spec, kv, kind)
+		case ints[key] != nil:
+			*ints[key], err = strconv.Atoi(val)
+		case durs[key] != nil:
+			var d time.Duration
+			d, err = time.ParseDuration(val)
+			*durs[key] = sim.Duration(d)
+		default:
+			*nums[key], err = strconv.ParseFloat(val, 64)
+		}
+		if err != nil {
+			return fmt.Errorf("config: %s %q: %s: %v", noun, spec, key, err)
+		}
+	}
+	return nil
 }

@@ -82,20 +82,11 @@ func (s *System) sendCtl(p *sim.Proc, from, to int, deliver func()) {
 	s.net.Send(p, from, to, controlBytes, deliver)
 }
 
-// sendCtlFn is sendCtl for run-to-completion light processes: sender CPU,
-// then wire, then `then` continues the caller where sendCtl would have
-// returned.
-func (s *System) sendCtlFn(from, to int, deliver, then func()) {
-	s.pe(from).computeTFn(s.ct.sendMsg, func() {
-		s.net.SendFn(from, to, controlBytes, deliver, then)
-	})
-}
-
 // sendCtlAsync transmits a control message without blocking the caller,
-// still charging the sender CPU through a light helper process.
+// still charging the sender CPU through a helper process.
 func (s *System) sendCtlAsync(from, to int, deliver func()) {
-	s.k.SpawnFn(func() {
-		s.sendCtlFn(from, to, deliver, nopThen)
+	s.k.Spawn("ctl-send", func(p *sim.Proc) {
+		s.sendCtl(p, from, to, deliver)
 	})
 }
 
@@ -104,31 +95,18 @@ func (s *System) recvCtlCPU(p *sim.Proc, at int) {
 	s.pe(at).computeT(p, s.ct.recvMsg)
 }
 
-// recvCtlCPUFn is recvCtlCPU for light processes.
-func (s *System) recvCtlCPUFn(at int, then func()) {
-	s.pe(at).computeTFn(s.ct.recvMsg, then)
-}
-
-// nopThen terminates a light-process continuation chain whose caller has
-// nothing left to do once the message is on the wire.
-func nopThen() {}
-
 // requestDecision models the round trip to the control node: the
 // coordinator asks for a placement, the control node computes it (charging
 // its CPU), and replies. Local requests skip the wire but still pay CPU.
-// The control-node side — receive, decide, reply — never blocks on anything
-// but CPU and wire holds, so it runs as a light process.
 func (s *System) requestDecision(p *sim.Proc, coordPE int) core.Decision {
 	reply := sim.NewChan[core.Decision](s.k, "decision-reply")
 	s.sendCtl(p, coordPE, s.ctrlPE, func() {
-		s.k.SpawnFn(func() {
-			s.recvCtlCPUFn(s.ctrlPE, func() {
-				d := s.ctrl.Decide(s.strategy, s.qinfo, s.rng)
-				s.pe(s.ctrlPE).computeTFn(s.ct.ctrlDecide, func() { // placement computation
-					s.sendCtlFn(s.ctrlPE, coordPE, func() {
-						reply.Put(d)
-					}, nopThen)
-				})
+		s.k.Spawn("ctrl-decide", func(cp *sim.Proc) {
+			s.recvCtlCPU(cp, s.ctrlPE)
+			d := s.ctrl.Decide(s.strategy, s.qinfo, s.rng)
+			s.pe(s.ctrlPE).computeT(cp, s.ct.ctrlDecide) // placement computation
+			s.sendCtl(cp, s.ctrlPE, coordPE, func() {
+				reply.Put(d)
 			})
 		})
 	})

@@ -83,19 +83,6 @@ func (pe *PE) computeT(p *sim.Proc, d sim.Duration) {
 	pe.cpu.Use(p, pe.stretchCPU(d))
 }
 
-// computeTFn is computeT for run-to-completion light processes
-// (sim.Kernel.SpawnFn): charge a pre-converted CPU duration, then continue
-// with fn. The skip sentinel (d < 0) mirrors computeT exactly, and UseFn
-// schedules the identical events Use would, so a light conversion of a
-// computeT call site leaves the dispatch order bit-identical.
-func (pe *PE) computeTFn(d sim.Duration, fn func()) {
-	if d < 0 {
-		fn()
-		return
-	}
-	pe.cpu.UseFn(pe.stretchCPU(d), fn)
-}
-
 // costT holds the cost-model segments the hot inner loops charge with
 // constant instruction counts, pre-converted to simulated durations. Each
 // value is CPUTime of exactly the instruction expression the call site used

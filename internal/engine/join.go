@@ -298,20 +298,18 @@ func (q *joinQuery) anyFailedSince(start sim.Time) bool {
 }
 
 // releaseRound sends the single commit/abort round to every scan host: each
-// participant releases the query's read locks and acks. The participant
-// side only charges CPU and wire holds, so it runs as a light process.
+// participant releases the query's read locks and acks.
 func (q *joinQuery) releaseRound(p *sim.Proc) {
 	s := q.s
 	participants := 0
 	releaseOne := func(target int) {
 		participants++
 		s.sendCtl(p, q.coordPE, target, func() {
-			s.k.SpawnFn(func() {
-				s.recvCtlCPUFn(target, func() {
-					s.pe(target).locks.ReleaseAll(q.txn)
-					s.sendCtlFn(target, q.coordPE, func() {
-						q.coordMail.Put(cmsg{kind: cmsgAck, from: target})
-					}, nopThen)
+			s.k.Spawn("commit-participant", func(cp *sim.Proc) {
+				s.recvCtlCPU(cp, target)
+				s.pe(target).locks.ReleaseAll(q.txn)
+				s.sendCtl(cp, target, q.coordPE, func() {
+					q.coordMail.Put(cmsg{kind: cmsgAck, from: target})
 				})
 			})
 		})
@@ -338,10 +336,9 @@ func (q *joinQuery) releaseDecision() {
 	s := q.s
 	dec := q.dec
 	s.sendCtlAsync(q.coordPE, s.ctrlPE, func() {
-		s.k.SpawnFn(func() {
-			s.recvCtlCPUFn(s.ctrlPE, func() {
-				s.ctrl.Release(dec)
-			})
+		s.k.Spawn("ctrl-release", func(cp *sim.Proc) {
+			s.recvCtlCPU(cp, s.ctrlPE)
+			s.ctrl.Release(dec)
 		})
 	})
 }
@@ -544,31 +541,17 @@ func (q *joinQuery) broadcastJoin(p *sim.Proc, kind jmsgKind) {
 	}
 }
 
-// jmsgCursor drains a join-process mailbox in batches, handing out one
-// message at a time. Each phase loop runs until its end-of-phase marker
-// (jmsgAEOF/jmsgBEOF), so the mailbox must never close while a drain is
-// outstanding — a closed-and-drained mailbox here means the coordinator
-// tore the query down without completing the protocol, and is diagnosed
-// explicitly instead of surfacing as an index-out-of-range on the empty
-// batch GetAll returns after close.
-type jmsgCursor struct {
-	qid   int64
-	idx   int
-	mail  *sim.Chan[jmsg]
-	batch []jmsg
-	cur   int
-}
-
-func (c *jmsgCursor) next(p *sim.Proc) jmsg {
-	if c.cur == len(c.batch) {
-		batch, ok := c.mail.GetAll(p, c.batch[:0])
-		if !ok {
-			panic(fmt.Sprintf("engine: q%d/join%d mailbox closed mid-phase with no end-of-phase marker (protocol violation)", c.qid, c.idx))
-		}
-		c.batch, c.cur = batch, 0
+// nextJoinMsg takes the next message from a join process's mailbox. Each
+// phase loop runs until its end-of-phase marker (jmsgAEOF/jmsgBEOF), so the
+// mailbox must never close while the process waits on it: a closed and
+// drained mailbox here means the coordinator tore the query down without
+// completing the protocol, and is diagnosed explicitly instead of handing
+// the phase loop a zero message.
+func nextJoinMsg(p *sim.Proc, mail *sim.Chan[jmsg], qid int64, idx int) jmsg {
+	m, ok := mail.Get(p)
+	if !ok {
+		panic(fmt.Sprintf("engine: q%d/join%d mailbox closed mid-phase with no end-of-phase marker (protocol violation)", qid, idx))
 	}
-	m := c.batch[c.cur]
-	c.cur++
 	return m
 }
 
@@ -625,17 +608,9 @@ func (s *System) runJoinProc(p *sim.Proc, q *joinQuery, pe *PE, idx int) {
 
 	res := &resultEmitter{s: s, q: q, pe: pe}
 
-	// The mailbox is drained in batches: a redistribution burst costs this
-	// process one wake-up instead of one per packet. The cursor carries
-	// unconsumed messages across the phase boundary — a drain behind
-	// jmsgAEOF may already hold the first probe packets, exactly the
-	// messages a single-Get loop would have left queued.
-	mc := jmsgCursor{qid: q.id, idx: idx, mail: mail}
-	next := func() jmsg { return mc.next(p) }
-
 	// --- Building phase ---
 	for building := true; building; {
-		m := next()
+		m := nextJoinMsg(p, mail, q.id, idx)
 		switch m.kind {
 		case jmsgBuild:
 			if failed() {
@@ -673,7 +648,7 @@ func (s *System) runJoinProc(p *sim.Proc, q *joinQuery, pe *PE, idx int) {
 
 	// --- Probing phase ---
 	for probing := true; probing; {
-		m := next()
+		m := nextJoinMsg(p, mail, q.id, idx)
 		switch m.kind {
 		case jmsgProbe:
 			if failed() {

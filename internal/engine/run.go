@@ -22,12 +22,9 @@ func (s *System) startReporters() {
 				free := pe.buf.AvailNonQuery()
 				peID := pe.id
 				s.sendCtl(p, pe.id, s.ctrlPE, func() {
-					// The control-node side only charges CPU and updates
-					// the utilization table: run-to-completion, no process.
-					s.k.SpawnFn(func() {
-						s.recvCtlCPUFn(s.ctrlPE, func() {
-							s.ctrl.Report(peID, u, free)
-						})
+					s.k.Spawn("ctrl-report", func(cp *sim.Proc) {
+						s.recvCtlCPU(cp, s.ctrlPE)
+						s.ctrl.Report(peID, u, free)
 					})
 				})
 			}

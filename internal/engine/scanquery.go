@@ -89,17 +89,15 @@ func (s *System) scanQueryAttempt(p *sim.Proc, coordPE int, class config.ScanCla
 	}
 
 	// Read-only commit round releases the fragment locks (also sent on
-	// abort — the release round is the same protocol). The participant
-	// side only charges CPU and wire holds: run-to-completion, no process.
+	// abort — the release round is the same protocol).
 	releaseRound := func() {
 		for _, home := range homes {
 			s.sendCtl(p, coordPE, home, func() {
-				s.k.SpawnFn(func() {
-					s.recvCtlCPUFn(home, func() {
-						s.pe(home).locks.ReleaseAll(txn)
-						s.sendCtlFn(home, coordPE, func() {
-							mail.Put(cmsg{kind: cmsgAck, from: home})
-						}, nopThen)
+				s.k.Spawn("scanq-commit", func(cp *sim.Proc) {
+					s.recvCtlCPU(cp, home)
+					s.pe(home).locks.ReleaseAll(txn)
+					s.sendCtl(cp, home, coordPE, func() {
+						mail.Put(cmsg{kind: cmsgAck, from: home})
 					})
 				})
 			})

@@ -120,8 +120,8 @@ func TestBurstProfileShiftsLoad(t *testing.T) {
 }
 
 // TestJoinMailboxClosedPanics: a join-phase mailbox closing before the
-// end-of-phase marker is a protocol violation the cursor must name loudly,
-// not an index panic three frames later.
+// end-of-phase marker is a protocol violation the join process must name
+// loudly, not a zero message three frames later.
 func TestJoinMailboxClosedPanics(t *testing.T) {
 	k := sim.NewKernel()
 	mail := sim.NewChan[jmsg](k, "m")
@@ -132,8 +132,7 @@ func TestJoinMailboxClosedPanics(t *testing.T) {
 				msg = fmt.Sprint(r)
 			}
 		}()
-		mc := jmsgCursor{qid: 7, idx: 3, mail: mail}
-		mc.next(p) // blocks empty, then the close wakes it with ok=false
+		nextJoinMsg(p, mail, 7, 3) // blocks empty, then the close wakes it with ok=false
 	})
 	k.Spawn("closer", func(p *sim.Proc) {
 		p.Wait(sim.Millisecond)

@@ -90,31 +90,6 @@ func (nw *Network) Send(p *sim.Proc, from, to int, bytes int64, deliver func()) 
 	nw.k.After(nw.params.Latency, deliver)
 }
 
-// SendFn is Send for run-to-completion light processes (sim.Kernel.SpawnFn):
-// the sender-side link occupancy is charged through Server.UseFn, then
-// `then` continues the caller at the point where Send would have returned
-// (deliver still runs after the propagation latency). Events land at the
-// same (time, seq) positions as Send's, so converting a call site is
-// dispatch-order-neutral.
-func (nw *Network) SendFn(from, to int, bytes int64, deliver, then func()) {
-	nw.check(from)
-	nw.check(to)
-	nw.msgs++
-	nw.bytes += bytes
-	if from == to {
-		nw.localMsgs++
-		deliver()
-		then()
-		return
-	}
-	pkts := nw.Packets(bytes)
-	nw.packets += int64(pkts)
-	nw.links[from].UseFn(sim.Duration(pkts)*nw.params.WirePerPacket, func() {
-		nw.k.After(nw.params.Latency, deliver)
-		then()
-	})
-}
-
 func (nw *Network) check(pe int) {
 	if pe < 0 || pe >= len(nw.links) {
 		panic(fmt.Sprintf("netw: PE %d of %d", pe, len(nw.links)))

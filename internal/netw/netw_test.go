@@ -124,7 +124,7 @@ func TestInvalidPEPanics(t *testing.T) {
 			t.Error("out-of-range PE did not panic")
 		}
 	}()
-	nw.SendFn(0, 5, 1, func() {}, func() {})
+	nw.Send(nil, 0, 5, 1, func() {})
 }
 
 // Property: delivery count equals send count, and packet count matches the
@@ -139,8 +139,8 @@ func TestQuickDeliveryConservation(t *testing.T) {
 			from, to := i%4, (i+1)%4
 			b := int64(sz)
 			wantPkts += int64(nw.Packets(b))
-			k.SpawnFn(func() {
-				nw.SendFn(from, to, b, func() { delivered++ }, func() {})
+			k.Spawn("send", func(p *sim.Proc) {
+				nw.Send(p, from, to, b, func() { delivered++ })
 			})
 		}
 		k.RunAll()

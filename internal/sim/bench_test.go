@@ -166,33 +166,10 @@ func benchSpawnEphemeral(b *testing.B, pooled bool) {
 func BenchmarkSpawnEphemeral(b *testing.B)         { benchSpawnEphemeral(b, true) }
 func BenchmarkSpawnEphemeralUnpooled(b *testing.B) { benchSpawnEphemeral(b, false) }
 
-// BenchmarkLightSpawn measures a run-to-completion process — SpawnFn plus
-// one UseFn hold on a free server — the light replacement for the ctl-send
-// and ctrl-decide helper processes. One event per stage, no goroutine or
-// Proc at all.
-func BenchmarkLightSpawn(b *testing.B) {
-	k := NewKernel()
-	srv := NewServer(k, "ctl", 1)
-	n := 0
-	var drive func()
-	drive = func() {
-		if n < b.N {
-			n++
-			k.SpawnFn(func() {
-				srv.UseFn(Microsecond, drive)
-			})
-		}
-	}
-	k.At(0, drive)
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.RunAll()
-}
-
-// benchChanBurst measures consuming a 16-message burst: with GetAll the
-// consumer takes one wake-up and drains the buffer; with single Gets it
-// pays one Get per message (only the first blocks). ns/op is per message.
-func benchChanBurst(b *testing.B, batched bool) {
+// BenchmarkChanBurstSingleGet measures consuming a 16-message burst with
+// one Get per message: only the first Get of a burst blocks, so the burst
+// costs its consumer one wake-up. ns/op is per message.
+func BenchmarkChanBurstSingleGet(b *testing.B) {
 	const burst = 16
 	k := NewKernel()
 	mail := NewChan[int](k, "mail")
@@ -207,20 +184,9 @@ func benchChanBurst(b *testing.B, batched bool) {
 		mail.Close()
 	})
 	k.Spawn("consumer", func(p *Proc) {
-		if batched {
-			var buf []int
-			for {
-				var ok bool
-				buf, ok = mail.GetAll(p, buf[:0])
-				if !ok {
-					return
-				}
-			}
-		} else {
-			for {
-				if _, ok := mail.Get(p); !ok {
-					return
-				}
+		for {
+			if _, ok := mail.Get(p); !ok {
+				return
 			}
 		}
 	})
@@ -228,6 +194,3 @@ func benchChanBurst(b *testing.B, batched bool) {
 	b.ResetTimer()
 	k.RunAll()
 }
-
-func BenchmarkChanBurstGetAll(b *testing.B)    { benchChanBurst(b, true) }
-func BenchmarkChanBurstSingleGet(b *testing.B) { benchChanBurst(b, false) }

@@ -9,7 +9,7 @@ import "math/bits"
 // horizon pay an O(log m) heap operation, and each such event pays it once.
 //
 // Total order is (time, seq), exactly the contract of the old binary-heap
-// calendar: the wheel maps a time to bucket (t>>shift)&calMask, each
+// calendar: the wheel maps a time to bucket (t>>calShift)&calMask, each
 // bucket is kept sorted, and the overflow heap compares (t, seq).
 //
 // Invariants (cur is the time of the last extracted event):
@@ -17,59 +17,38 @@ import "math/bits"
 //   - every overflow event e has e.t >= wheelLimit at its insertion time;
 //     migrate() moves events into the wheel as the limit advances
 //
-// Because the wheel horizon is exactly calBuckets<<shift, each bucket
+// Because the wheel horizon is exactly calBuckets<<calShift, each bucket
 // holds times from a single revolution, so circular bucket order from the
 // cursor equals time order and the earliest wheel event beats every
 // overflow event. A one-bit-per-bucket occupancy bitmap makes the scan for
 // the next nonempty bucket O(1) in practice.
 //
-// The bucket width is self-tuning (widen-only): when a sampling window of
-// enqueues is dominated by overflow pushes — the workload's event gaps
-// dwarf the wheel horizon, so most inserts pay the O(log m) heap and a
-// later migration — the wheel doubles its bucket width and rehashes. See
-// maybeWiden.
+// The bucket width is fixed. A workload whose events lie further apart
+// than the wheel horizon stays correct — the overflow heap keeps exact
+// (time, seq) order — and pays the heap cost per such event.
 type calQueue struct {
 	buckets  [calBuckets][]*event
 	bitmap   [calBuckets / 64]uint64
-	wheelN   int  // events in the wheel
-	shift    uint // bucket width exponent: bucket width = 1<<shift ns
+	wheelN   int // events in the wheel
 	cur      Time
 	head     *event // cached minimum, still stored in its bucket; nil = unknown
 	overflow overflowHeap
-	scratch  []*event // reusable buffer for widen() rehashes
 
-	// Observability counters (surfaced via Kernel.Stats). The push counters
-	// double as the self-tuning signal: maybeWiden compares overflow and
-	// wheel pushes over a sampling window and widens when overflow wins.
+	// Observability counters (surfaced via Kernel.Stats).
 	overflowPushes int64 // enqueues that landed beyond the wheel horizon
 	overflowPeak   int   // high-water overflow residency
 	migrations     int64 // events moved overflow → wheel
-	wheelPushes    int64 // enqueues that landed in the wheel directly
-	resizes        int64 // bucket-width doublings performed
-	tuneOverflow   int64 // overflowPushes at the last width check
-	tuneWheel      int64 // wheelPushes at the last width check
 }
 
 const (
-	calShift   = 12      // initial bucket width 4096ns ≈ 4.1µs
-	calBuckets = 1 << 13 // 8192 buckets → initial wheel horizon ≈ 33.6ms
+	calShift   = 12      // bucket width 4096ns ≈ 4.1µs
+	calBuckets = 1 << 13 // 8192 buckets → wheel horizon ≈ 33.6ms
 	calMask    = calBuckets - 1
-
-	// Self-tuning parameters: after every tuneWindow overflow pushes,
-	// double the bucket width if overflow pushes outnumbered direct wheel
-	// pushes over the window (most inserts are paying for a wheel that is
-	// too narrow). The window is large enough that transient bursts —
-	// e.g. the start-up wave of arrival processes scheduled across a long
-	// warm-up — don't trigger a resize, and maxShift caps the width at
-	// ~67ms buckets (~9.2min horizon) so a pathological far-future tail
-	// can't widen the wheel into a coarse single bucket.
-	tuneWindow = 4096
-	maxShift   = 26
 )
 
 // wheelLimit returns the first time beyond the wheel horizon as of cur.
 func (q *calQueue) wheelLimit() Time {
-	return (q.cur>>q.shift + calBuckets) << q.shift
+	return (q.cur>>calShift + calBuckets) << calShift
 }
 
 func (q *calQueue) len() int { return q.wheelN + len(q.overflow) }
@@ -82,65 +61,16 @@ func (q *calQueue) enqueue(e *event) {
 		if len(q.overflow) > q.overflowPeak {
 			q.overflowPeak = len(q.overflow)
 		}
-		q.maybeWiden()
 		return
 	}
-	q.wheelPushes++
 	q.wheelInsert(e)
 	if q.head != nil && e.t < q.head.t {
 		q.head = e // strictly earlier; on a time tie the older head has the lower seq
 	}
 }
 
-// maybeWiden checks the self-tuning criterion after an overflow push:
-// across the last sampling window, did enqueues land in the overflow heap
-// at least as often as in the wheel? If so the bucket width doubles. The
-// decision depends only on the event stream, so it is bit-reproducible;
-// and since both widths order events identically, retuning never changes
-// simulation results — only the insert/extract cost.
-func (q *calQueue) maybeWiden() {
-	if q.overflowPushes-q.tuneOverflow < tuneWindow {
-		return
-	}
-	recentWheel := q.wheelPushes - q.tuneWheel
-	q.tuneOverflow, q.tuneWheel = q.overflowPushes, q.wheelPushes
-	if q.shift >= maxShift || recentWheel > tuneWindow {
-		return
-	}
-	q.widen()
-}
-
-// widen doubles the bucket width: every wheel event rehashes under the new
-// shift, then overflow events now inside the doubled horizon migrate in.
-// Rehashing preserves the single-revolution invariant because the horizon
-// is still exactly calBuckets<<shift.
-func (q *calQueue) widen() {
-	q.shift++
-	q.resizes++
-	evs := q.scratch[:0]
-	for i := range q.buckets {
-		b := q.buckets[i]
-		evs = append(evs, b...)
-		for j := range b {
-			b[j] = nil
-		}
-		q.buckets[i] = b[:0]
-	}
-	for i := range q.bitmap {
-		q.bitmap[i] = 0
-	}
-	q.wheelN = 0
-	q.head = nil
-	for i, e := range evs {
-		q.wheelInsert(e)
-		evs[i] = nil
-	}
-	q.scratch = evs[:0]
-	q.migrate()
-}
-
 func (q *calQueue) wheelInsert(e *event) {
-	idx := int(e.t>>q.shift) & calMask
+	idx := int(e.t>>calShift) & calMask
 	b := q.buckets[idx]
 	// Sorted insert by (t, seq), scanning from the back: arrivals are
 	// usually the latest event in their bucket.
@@ -172,7 +102,7 @@ func (q *calQueue) migrate() {
 // "enqueues never precede the cursor" invariant. A peek must not move the
 // cursor.
 func (q *calQueue) ensureHead() {
-	idx := q.nextBucket(int(q.cur>>q.shift) & calMask)
+	idx := q.nextBucket(int(q.cur>>calShift) & calMask)
 	q.head = q.buckets[idx][0]
 }
 
@@ -236,7 +166,7 @@ func (q *calQueue) pop(limit Time) *event {
 	if e.t > limit {
 		return nil
 	}
-	idx := int(e.t>>q.shift) & calMask
+	idx := int(e.t>>calShift) & calMask
 	b := q.buckets[idx]
 	copy(b, b[1:])
 	b[len(b)-1] = nil

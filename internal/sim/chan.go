@@ -3,7 +3,8 @@ package sim
 // Chan is an unbounded FIFO mailbox between processes. Put never blocks;
 // Get blocks the calling process until an item is available. Waiting readers
 // are served FCFS. Chan carries operator data flow (e.g. redistributed
-// tuples arriving at a join process) and control signals.
+// tuples arriving at a join process) and control signals. Get blocks only
+// on an empty mailbox, so a burst of puts costs its reader one wake-up.
 type Chan[T any] struct {
 	k       *Kernel
 	name    string
@@ -91,37 +92,6 @@ func (c *Chan[T]) Get(p *Proc) (v T, ok bool) {
 		c.k.blocked--
 	}
 	return c.take(), true
-}
-
-// GetAll removes and returns every buffered item, blocking while the
-// mailbox is empty: a burst of deliveries costs its consumer one wake-up
-// instead of one per message. Items are appended to buf in FIFO order (pass
-// batch[:0] of a retained slice for an alloc-free steady state). ok is
-// false iff the channel is closed and drained, in which case buf is
-// returned unchanged.
-//
-// Consuming a GetAll batch in order is dispatch-identical to a loop of
-// single Gets: Get never blocks — and so never schedules an event — while
-// items remain buffered, and items put while the consumer is processing an
-// earlier batch are simply picked up by the next drain, exactly as a
-// single-Get loop would take them one by one.
-func (c *Chan[T]) GetAll(p *Proc, buf []T) (batch []T, ok bool) {
-	for c.Len() == 0 {
-		if c.closed {
-			return buf, false
-		}
-		c.readers = append(c.readers, p)
-		c.k.blocked++
-		p.block()
-		c.k.blocked--
-	}
-	c.k.batchedGets++
-	c.k.batchedItems += int64(c.Len())
-	buf = append(buf, c.buf[c.head:]...)
-	clear(c.buf[c.head:])
-	c.buf = c.buf[:0]
-	c.head = 0
-	return buf, true
 }
 
 // TryGet removes and returns the head item without blocking.

@@ -55,21 +55,16 @@ type Kernel struct {
 	procs []*Proc   // live processes (spawned, not yet finished), registry order
 	freeW []*worker // parked pooled worker coroutines awaiting reuse
 
-	dispatched   int64 // events dispatched since kernel creation
-	inlineWakes  int64 // blocks resolved in-context, without a switch
-	handoffs     int64 // switches into a process coroutine
-	goroutines   int   // process coroutines alive (parked, running, or blocked)
-	spawnReuses  int64 // spawns served by a pooled worker instead of a new coroutine
-	lightSpawns  int64 // run-to-completion processes started via SpawnFn
-	batchedGets  int64 // Chan.GetAll drains
-	batchedItems int64 // messages delivered through GetAll drains
+	dispatched  int64 // events dispatched since kernel creation
+	inlineWakes int64 // blocks resolved in-context, without a switch
+	handoffs    int64 // switches into a process coroutine
+	goroutines  int   // process coroutines alive (parked, running, or blocked)
+	spawnReuses int64 // spawns served by a pooled worker instead of a new coroutine
 }
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{inline: true, pooling: true}
-	k.cq.shift = calShift
-	return k
+	return &Kernel{inline: true, pooling: true}
 }
 
 // SetSpawnPooling toggles worker pooling. With it disabled every Spawn
@@ -114,11 +109,10 @@ func (k *Kernel) Blocked() int { return k.blocked }
 // Spawns/SpawnReuses/LiveGoroutines characterize the process pool: in steady
 // state SpawnReuses tracks Spawns (every spawn reuses a parked worker) and
 // LiveGoroutines stays O(peak live processes) — not O(total spawned).
-// LightSpawns counts run-to-completion processes (SpawnFn) that needed no
-// coroutine at all; BatchedGets/BatchedItems measure mailbox-drain leverage
-// (items per wake-up). OverflowLen/OverflowPeak/OverflowPushes/Migrations
-// diagnose a wheel-width mismatch; WheelShift/WidthResizes record how the
-// self-tuning calendar responded (see calQueue.maybeWiden).
+// LightSpawns is always 0, since every simulated activity is a spawned
+// process; perfbench still reads it. OverflowLen/OverflowPeak/
+// OverflowPushes/Migrations count the events that lie beyond the fixed
+// wheel horizon (see calQueue).
 type KernelStats struct {
 	Dispatched  int64 // events dispatched since kernel creation
 	InlineWakes int64 // blocks resolved in-context (continuation fast path, no switch)
@@ -127,13 +121,9 @@ type KernelStats struct {
 	Spawns         int64 // processes ever spawned (Spawn/SpawnAt/SpawnArg)
 	SpawnReuses    int64 // spawns served by a parked pooled worker (no coroutine birth)
 	LiveGoroutines int   // process coroutines alive: parked in the pool, running, or blocked
-	LightSpawns    int64 // run-to-completion processes started via SpawnFn
-	BatchedGets    int64 // Chan.GetAll drains
-	BatchedItems   int64 // messages delivered through GetAll drains
+	LightSpawns    int64 // always 0: every activity is a spawned process
 
 	WheelLen       int   // events currently in the calendar wheel
-	WheelShift     int   // current bucket-width exponent (bucket width = 1<<shift ns)
-	WidthResizes   int64 // times the self-tuning wheel doubled its bucket width
 	OverflowLen    int   // events currently in the overflow heap
 	OverflowPeak   int   // high-water overflow-heap residency
 	OverflowPushes int64 // enqueues that landed beyond the wheel horizon
@@ -149,12 +139,7 @@ func (k *Kernel) Stats() KernelStats {
 		Spawns:         k.procSeq,
 		SpawnReuses:    k.spawnReuses,
 		LiveGoroutines: k.goroutines,
-		LightSpawns:    k.lightSpawns,
-		BatchedGets:    k.batchedGets,
-		BatchedItems:   k.batchedItems,
 		WheelLen:       k.cq.wheelN,
-		WheelShift:     int(k.cq.shift),
-		WidthResizes:   k.cq.resizes,
 		OverflowLen:    len(k.cq.overflow),
 		OverflowPeak:   k.cq.overflowPeak,
 		OverflowPushes: k.cq.overflowPushes,
@@ -341,21 +326,6 @@ func (k *Kernel) RunAll() Time {
 // queue).
 func (k *Kernel) Pending() int {
 	return k.cq.len() + len(k.nowQ) - k.nowHead
-}
-
-// SpawnFn starts a run-to-completion "light" process: fn is scheduled as an
-// ordinary event at the current time and runs in kernel context — no
-// coroutine, no Proc allocation. fn must never block
-// (there is no process identity to suspend); timed holds are expressed
-// through the continuation primitives (Server.UseFn, netw.SendFn), which
-// schedule their follow-up events at exactly the (time, seq) positions the
-// equivalent Proc-based body would have, so converting a non-blocking Spawn
-// call site to SpawnFn leaves every simulation result bit-identical.
-func (k *Kernel) SpawnFn(fn func()) {
-	k.lightSpawns++
-	e := k.newEvent(k.now)
-	e.fn = fn
-	k.schedule(e)
 }
 
 // Shutdown terminates every live process and dismisses the worker pool,

@@ -5,7 +5,9 @@ import "fmt"
 // Server models a multi-server FCFS queueing station (CPUs of a node, a disk
 // arm, a disk controller, a network link, ...). Processes occupy one of cap
 // identical servers for an explicit service duration via Use, or bracket a
-// variable-length occupancy with Acquire/Release.
+// variable-length occupancy with Acquire/Release. Only processes queue: a
+// request that finds every server busy blocks its process until a Release
+// hands the server over.
 //
 // Server keeps the time integral of busy servers and of queue length, from
 // which utilization and mean queue length are derived.
@@ -24,12 +26,10 @@ type Server struct {
 	totalWait Time
 }
 
-// serverWaiter is a queued request for one server: a blocked process
-// (Acquire) or a continuation to grant the server to (UseFn). Exactly one
-// of p and fn is set.
+// serverWaiter is a queued request for one server: a process blocked in
+// Acquire.
 type serverWaiter struct {
 	p       *Proc
-	fn      func()
 	arrived Time
 }
 
@@ -98,18 +98,10 @@ func (s *Server) Release() {
 	s.q = s.q[:len(s.q)-1]
 	s.served++
 	s.totalWait += s.k.Now() - w.arrived
-	if w.p != nil {
-		// A blocked process: resume it. Its Acquire returns holding the
-		// server (busy is unchanged — the server passed hand to hand).
-		w.p.unpark()
-		w.p = nil
-	} else {
-		// A light waiter: schedule its grant continuation at the same
-		// (time, seq) position the unpark event would have had.
-		fn := w.fn
-		w.fn = nil
-		s.k.At(s.k.Now(), fn)
-	}
+	// Resume the waiter: its Acquire returns holding the server (busy is
+	// unchanged — the server passed hand to hand).
+	w.p.unpark()
+	w.p = nil
 	s.free = append(s.free, w)
 }
 
@@ -118,54 +110,6 @@ func (s *Server) Use(p *Proc, d Duration) {
 	s.Acquire(p)
 	p.Wait(d)
 	s.Release()
-}
-
-// UseFn is Use for run-to-completion light processes (Kernel.SpawnFn):
-// occupy one server for d, then run fn in kernel context. Grant, hold and
-// release events are allocated at exactly the (time, seq) positions Use's
-// are — uncontended with d > 0 one hold event, uncontended with d == 0
-// none, contended one grant event per hand-over — so converting a Use call
-// site to UseFn is dispatch-order-neutral and results stay bit-identical.
-func (s *Server) UseFn(d Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: server %q UseFn negative duration %v", s.name, d))
-	}
-	s.advance()
-	if s.busy < s.cap {
-		s.busy++
-		s.served++
-		s.holdFn(d, fn)
-		return
-	}
-	var w *serverWaiter
-	if n := len(s.free); n > 0 {
-		w = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		w = &serverWaiter{}
-	}
-	w.p, w.arrived = nil, s.k.Now()
-	w.fn = func() {
-		s.k.blocked--
-		s.holdFn(d, fn)
-	}
-	s.q = append(s.q, w)
-	s.k.blocked++
-}
-
-// holdFn holds an already-granted server for d, then releases and runs fn.
-// It mirrors the Wait(d)+Release tail of Use: d == 0 releases inline (Wait
-// is a no-op), d > 0 schedules one event at now+d.
-func (s *Server) holdFn(d Duration, fn func()) {
-	if d == 0 {
-		s.Release()
-		fn()
-		return
-	}
-	s.k.At(s.k.Now()+d, func() {
-		s.Release()
-		fn()
-	})
 }
 
 // Utilization returns the fraction of server-capacity-time spent busy since
