@@ -71,6 +71,26 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 		"scan class QPSPerPE +Inf": func(c *Config) {
 			c.ScanClasses = []config.ScanClass{{Name: "s", QPSPerPE: math.Inf(1), Selectivity: 0.01, Clustered: true}}
 		},
+		"ResultFraction NaN":  func(c *Config) { c.ResultFraction = nan },
+		"ResultFraction +Inf": func(c *Config) { c.ResultFraction = math.Inf(1) },
+		"ResultFraction -1":   func(c *Config) { c.ResultFraction = -1 },
+		"Disk.CacheSize -1":   func(c *Config) { c.Disk.CacheSize = -1 },
+		"Warmup -1s":          func(c *Config) { c.Warmup = -Seconds(1) },
+		"MemAdmitFrac NaN":    func(c *Config) { c.MemAdmitFrac = nan },
+		"MemAdmitFrac -0.5":   func(c *Config) { c.MemAdmitFrac = -0.5 },
+		"MemAdmitFrac 1.5":    func(c *Config) { c.MemAdmitFrac = 1.5 },
+		"OLTP HotSetPages 0": func(c *Config) {
+			c.OLTP.Placement = OLTPOnBNode
+			c.OLTP.HotSetPages = 0
+		},
+		"OLTP HotSetPages -5": func(c *Config) {
+			c.OLTP.Placement = OLTPOnBNode
+			c.OLTP.HotSetPages = -5
+		},
+		"OLTP HotSetPages = AccountPages": func(c *Config) {
+			c.OLTP.Placement = OLTPOnBNode
+			c.OLTP.HotSetPages = c.OLTP.AccountPages
+		},
 	}
 	base := DefaultConfig()
 	base.NPE = 5

@@ -265,6 +265,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: JoinQPSPerPE %v not finite and >= 0", c.JoinQPSPerPE)
 	case !(c.ScanSelectivity >= 0 && c.ScanSelectivity <= 1):
 		return fmt.Errorf("config: scan selectivity %v outside [0,1]", c.ScanSelectivity)
+	case !(c.ResultFraction >= 0) || math.IsInf(c.ResultFraction, 1):
+		return fmt.Errorf("config: result fraction %v not finite and >= 0", c.ResultFraction)
+	case c.Disk.CacheSize < 0:
+		return fmt.Errorf("config: Disk.CacheSize %d < 0", c.Disk.CacheSize)
+	case !(c.MemAdmitFrac >= 0 && c.MemAdmitFrac <= 1):
+		return fmt.Errorf("config: MemAdmitFrac %v outside [0,1]", c.MemAdmitFrac)
 	case !(c.FudgeFactor >= 1):
 		return fmt.Errorf("config: fudge factor %v not >= 1", c.FudgeFactor)
 	case !(c.AFraction > 0 && c.AFraction < 1):
@@ -275,6 +281,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: control smoothing %v outside (0,1]", c.CtrlSmoothing)
 	case c.ReportInterval <= 0:
 		return fmt.Errorf("config: report interval %v <= 0", c.ReportInterval)
+	case c.Warmup < 0:
+		return fmt.Errorf("config: warm-up %v < 0", c.Warmup)
 	case c.MeasureTime <= 0:
 		return fmt.Errorf("config: measure time %v <= 0", c.MeasureTime)
 	case c.MetricsWindow < 0:
@@ -302,6 +310,14 @@ func (c *Config) Validate() error {
 		}
 		if !(o.HotAccessProb >= 0 && o.HotAccessProb <= 1) {
 			return fmt.Errorf("config: OLTP hot access probability %v", o.HotAccessProb)
+		}
+		// An access draws its page from [0, HotSetPages) or from
+		// [HotSetPages, AccountPages); whichever range the probability can
+		// pick must be non-empty.
+		if o.HotSetPages < 0 || (o.HotAccessProb > 0 && o.HotSetPages < 1) ||
+			(o.HotAccessProb < 1 && o.HotSetPages >= o.AccountPages) {
+			return fmt.Errorf("config: OLTP hot set %d pages of %d invalid at hot access probability %v",
+				o.HotSetPages, o.AccountPages, o.HotAccessProb)
 		}
 	}
 	return nil
@@ -360,20 +376,23 @@ func (c *Config) TuplesPerPacket() int64 {
 
 // AScanTuples returns the join's inner input size |sel(A)| in tuples.
 func (c *Config) AScanTuples() int64 {
-	return selTuples(c.ATuples, c.ScanSelectivity)
+	return SelTuples(c.ATuples, c.ScanSelectivity)
 }
 
 // BScanTuples returns the join's outer input size |sel(B)| in tuples.
 func (c *Config) BScanTuples() int64 {
-	return selTuples(c.BTuples, c.ScanSelectivity)
+	return SelTuples(c.BTuples, c.ScanSelectivity)
 }
 
 // AScanPages returns the pages of the inner join input b_i.
 func (c *Config) AScanPages() int64 {
-	return pagesFor(c.AScanTuples(), c.Blocking)
+	return PagesFor(c.AScanTuples(), c.Blocking)
 }
 
-func selTuples(n int64, sel float64) int64 {
+// SelTuples returns how many of n tuples a predicate of selectivity sel
+// selects: none at sel <= 0, all at sel >= 1, else the rounded share and
+// at least one.
+func SelTuples(n int64, sel float64) int64 {
 	if sel <= 0 {
 		return 0
 	}
@@ -387,7 +406,8 @@ func selTuples(n int64, sel float64) int64 {
 	return t
 }
 
-func pagesFor(tuples int64, blocking int) int64 {
+// PagesFor returns the pages that tuples occupy at blocking tuples per page.
+func PagesFor(tuples int64, blocking int) int64 {
 	if tuples <= 0 {
 		return 0
 	}

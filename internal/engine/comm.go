@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
+
 	"dynlb/internal/core"
+	"dynlb/internal/lock"
 	"dynlb/internal/sim"
 )
 
@@ -13,6 +16,9 @@ import (
 // controlBytes is the payload size of control messages (start, EOF, commit,
 // utilization reports).
 const controlBytes = 256
+
+// ctrlDecideInstr is the control node's CPU cost of computing one placement.
+const ctrlDecideInstr = 2000
 
 // jmsg is a message into a join process's mailbox.
 type jmsg struct {
@@ -78,7 +84,7 @@ func (s *System) recvDataCPU(p *sim.Proc, at int, tuples int64) {
 // sendCtl transmits a small control message, blocking the sender for its
 // CPU cost and wire occupancy.
 func (s *System) sendCtl(p *sim.Proc, from, to int, deliver func()) {
-	s.pe(from).computeT(p, s.ct.sendMsg)
+	s.pe(from).compute(p, s.cfg.Costs.SendMsg)
 	s.net.Send(p, from, to, controlBytes, deliver)
 }
 
@@ -92,7 +98,7 @@ func (s *System) sendCtlAsync(from, to int, deliver func()) {
 
 // recvCtlCPU charges the receiver-side cost of one control message.
 func (s *System) recvCtlCPU(p *sim.Proc, at int) {
-	s.pe(at).computeT(p, s.ct.recvMsg)
+	s.pe(at).compute(p, s.cfg.Costs.RecvMsg)
 }
 
 // requestDecision models the round trip to the control node: the
@@ -104,7 +110,7 @@ func (s *System) requestDecision(p *sim.Proc, coordPE int) core.Decision {
 		s.k.Spawn("ctrl-decide", func(cp *sim.Proc) {
 			s.recvCtlCPU(cp, s.ctrlPE)
 			d := s.ctrl.Decide(s.strategy, s.qinfo, s.rng)
-			s.pe(s.ctrlPE).computeT(cp, s.ct.ctrlDecide) // placement computation
+			s.pe(s.ctrlPE).compute(cp, ctrlDecideInstr)
 			s.sendCtl(cp, s.ctrlPE, coordPE, func() {
 				reply.Put(d)
 			})
@@ -113,4 +119,53 @@ func (s *System) requestDecision(p *sim.Proc, coordPE int) core.Decision {
 	d, _ := reply.Get(p)
 	s.recvCtlCPU(p, coordPE)
 	return d
+}
+
+// collect is a query coordinator's phase loop on PE at: it takes messages
+// from mail until n completion messages of kind want have arrived, charging
+// the control-message receive for each and the data receive for every
+// result packet that streams in between. Any other kind is a protocol
+// violation.
+func (s *System) collect(p *sim.Proc, mail *sim.Chan[cmsg], at int, want cmsgKind, n int, phase string) {
+	for done := 0; done < n; {
+		m, _ := mail.Get(p)
+		switch m.kind {
+		case want:
+			s.recvCtlCPU(p, at)
+			done++
+		case cmsgResult:
+			s.recvDataCPU(p, at, m.tuples)
+		default:
+			panic(fmt.Sprintf("engine: %s unexpected %v during %s", mail.Name(), m.kind, phase))
+		}
+	}
+}
+
+// releaseRound is the read-only optimization's single commit round, which
+// is also the abort round: the coordinator sends one message to every host
+// (in the order given), each host releases txn's read locks and acks, and
+// the coordinator waits for every ack.
+func (s *System) releaseRound(p *sim.Proc, coordPE int, txn lock.TxnID, mail *sim.Chan[cmsg], hosts ...[]int) {
+	participants := 0
+	for _, list := range hosts {
+		for _, host := range list {
+			participants++
+			s.sendCtl(p, coordPE, host, func() {
+				s.k.Spawn("commit-participant", func(cp *sim.Proc) {
+					s.recvCtlCPU(cp, host)
+					s.pe(host).locks.ReleaseAll(txn)
+					s.sendCtl(cp, host, coordPE, func() {
+						mail.Put(cmsg{kind: cmsgAck, from: host})
+					})
+				})
+			})
+		}
+	}
+	for acks := 0; acks < participants; acks++ {
+		m, _ := mail.Get(p)
+		if m.kind != cmsgAck {
+			panic(fmt.Sprintf("engine: %s unexpected %v during commit", mail.Name(), m.kind))
+		}
+		s.recvCtlCPU(p, coordPE)
+	}
 }

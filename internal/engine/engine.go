@@ -45,7 +45,9 @@ type PE struct {
 // ID returns the PE id.
 func (pe *PE) ID() int { return pe.id }
 
-// compute charges instr instructions on this PE's CPU for process p.
+// compute charges instr instructions on this PE's CPU for process p; a
+// non-positive count charges nothing. A positive count whose duration
+// rounds to zero still passes through the FCFS CPU server.
 func (pe *PE) compute(p *sim.Proc, instr int64) {
 	if instr <= 0 {
 		return
@@ -61,71 +63,6 @@ func (pe *PE) stretchCPU(d sim.Duration) sim.Duration {
 		return sim.Duration(float64(d) * pe.cpuSlow)
 	}
 	return d
-}
-
-// computeT charges a pre-converted CPU duration (see costT). The inner
-// loops batch their loop-invariant instruction counts into durations once
-// per run; each charge is then a single Server.Use. The kernel's
-// continuation fast path resumes the process without a switch when its own
-// wake-up is the next event; when another process's event comes first —
-// the common case in a multi-user run — the hold costs a coroutine switch
-// through the root Run loop.
-//
-// The skip sentinel (d < 0, see newCostT) mirrors compute's instr <= 0
-// guard exactly: a positive instruction count whose duration rounds to
-// zero still passes through the CPU server — a zero-length Use queues
-// FCFS like any other — so results match compute bit-for-bit in every
-// config corner.
-func (pe *PE) computeT(p *sim.Proc, d sim.Duration) {
-	if d < 0 {
-		return
-	}
-	pe.cpu.Use(p, pe.stretchCPU(d))
-}
-
-// costT holds the cost-model segments the hot inner loops charge with
-// constant instruction counts, pre-converted to simulated durations. Each
-// value is CPUTime of exactly the instruction expression the call site used
-// to pass, so the event stream — and every simulation result — is
-// unchanged; only the per-call float conversion is hoisted out of the
-// loops. Variable-count charges (per-tuple batches, message copies) keep
-// calling compute.
-type costT struct {
-	initTxn     sim.Duration // transaction setup
-	termTxn     sim.Duration // commit processing
-	termTxnHalf sim.Duration // abort cleanup (TermTxn/2)
-	io          sim.Duration // CPU overhead of one physical I/O
-	sendMsg     sim.Duration // control-message send
-	recvMsg     sim.Duration // control-message receive
-	oltpIndex   sim.Duration // OLTP non-clustered index traversal (3·ReadTuple + ExtraInstr)
-	tupleRW     sim.Duration // one tuple read + update (ReadTuple + WriteTuple)
-	scanDescent sim.Duration // resident B+-tree descent (3·ReadTuple)
-	ctrlDecide  sim.Duration // control-node placement computation
-}
-
-func newCostT(cfg *config.Config) costT {
-	// A non-positive instruction count means "skip the CPU entirely"
-	// (compute's guard); encode it as -1 so computeT can distinguish it
-	// from a positive count that rounds to a zero duration, which must
-	// still occupy the FCFS server.
-	conv := func(instr int64) sim.Duration {
-		if instr <= 0 {
-			return -1
-		}
-		return cfg.CPUTime(instr)
-	}
-	return costT{
-		initTxn:     conv(cfg.Costs.InitTxn),
-		termTxn:     conv(cfg.Costs.TermTxn),
-		termTxnHalf: conv(cfg.Costs.TermTxn / 2),
-		io:          conv(cfg.Costs.IO),
-		sendMsg:     conv(cfg.Costs.SendMsg),
-		recvMsg:     conv(cfg.Costs.RecvMsg),
-		oltpIndex:   conv(3*cfg.Costs.ReadTuple + cfg.OLTP.ExtraInstr),
-		tupleRW:     conv(cfg.Costs.ReadTuple + cfg.Costs.WriteTuple),
-		scanDescent: conv(3 * cfg.Costs.ReadTuple),
-		ctrlDecide:  conv(2000),
-	}
 }
 
 // cpuSince returns the CPU utilization since the last report and rolls the
@@ -151,8 +88,6 @@ type System struct {
 	detector *lock.Detector
 	model    *costmodel.Model
 	qinfo    core.QueryInfo
-
-	ct costT // pre-converted constant cost segments of the hot loops
 
 	// profileConst caches cfg.Profile.IsConstant(): the arrival loops and
 	// initWeights branch on it so a constant profile keeps the exact
@@ -215,7 +150,6 @@ func New(cfg config.Config, strategy core.Strategy) (*System, error) {
 		strategy: strategy,
 		detector: lock.NewDetector(k, sim.Second),
 		model:    costmodel.New(cfg),
-		ct:       newCostT(&cfg),
 
 		profileConst: cfg.Profile.IsConstant(),
 
@@ -248,7 +182,7 @@ func New(cfg config.Config, strategy core.Strategy) (*System, error) {
 		pe.logDisk = disk.New(k, fmt.Sprintf("pe%d/log", i), 1, logParams)
 		pe.buf = buffer.NewManager(k, fmt.Sprintf("pe%d/buf", i), cfg.BufferPages, buffer.DiskHooks{
 			ReadPage: func(p *sim.Proc, pg disk.PageID, seq bool) {
-				pe.computeT(p, s.ct.io)
+				pe.compute(p, s.cfg.Costs.IO)
 				pe.disks.Read(p, dataDisk(pe, pg), pg, seq)
 			},
 			WriteAsync: func(pg disk.PageID) {

@@ -138,6 +138,18 @@ func (fs *faultState) failedSince(pe int, start sim.Time) bool {
 	return fs.down[pe] || fs.crashAt[pe] >= start
 }
 
+// anyFailedSince reports whether any PE in lists has failed since start.
+func (fs *faultState) anyFailedSince(start sim.Time, lists ...[]int) bool {
+	for _, list := range lists {
+		for _, pe := range list {
+			if fs.failedSince(pe, start) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // liveHost returns pe if it is up, else the next live PE in id order (the
 // chained-declustering buddy holding the fragment's replica). PE 0 hosts
 // the control node and can never crash, so the search always terminates.
@@ -182,6 +194,27 @@ var faultRetry = retry.Backoff{Base: 100 * time.Millisecond, Cap: 3200 * time.Mi
 // conversion is exact.
 func retryBackoff(attempt int) sim.Duration {
 	return sim.Duration(faultRetry.Delay(attempt))
+}
+
+// retryQuery runs a query's attempts in the calling process until one
+// completes. attempt runs the query with the given coordinator PE and
+// reports false when a participant failure aborted it. Without a fault plan
+// the single attempt is the whole query. Under fault injection an aborted
+// attempt is counted, backs off (retryBackoff) and reruns on the
+// coordinator's live host, re-entering the placement path.
+func (s *System) retryQuery(p *sim.Proc, coordPE int, attempt func(coordPE int) bool) {
+	if s.faults == nil {
+		attempt(coordPE)
+		return
+	}
+	for n := 0; ; n++ {
+		if attempt(s.faults.liveHost(coordPE)) {
+			return
+		}
+		s.faults.noteAbort()
+		p.Wait(retryBackoff(n))
+		s.faults.noteRetry()
+	}
 }
 
 // availability is completed attempts over all attempts. Both zero (nothing

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dynlb/internal/config"
 	"dynlb/internal/core"
 	"dynlb/internal/lock"
 	"dynlb/internal/pphj"
@@ -71,37 +72,24 @@ func (q *joinQuery) expectedShare(total int64, idx int) int64 {
 }
 
 // runJoinQuery executes one two-way join query in the calling process (the
-// coordinator on coordPE) and returns its response time. The flow follows
-// Sections 2 and 4: decision round trip, parallel A scans redistributing
-// into the join processes (building), parallel B scans (probing), deferred
-// partition joins, result merge at the coordinator, read-only two-phase
-// commit with a single round.
+// coordinator on coordPE). The flow follows Sections 2 and 4: decision
+// round trip, parallel A scans redistributing into the join processes
+// (building), parallel B scans (probing), deferred partition joins, result
+// merge at the coordinator, read-only two-phase commit with a single round.
 //
-// Under fault injection each attempt runs the same flow; a participant
-// crash is detected at the phase checkpoints inside joinAttempt, the
-// attempt aborts (locks and the placement reservation release) and the
-// query is resubmitted after capped exponential backoff, re-entering the
-// coordinator placement on the next live PE. Without a fault plan the
-// single attempt is the original code path.
-func (s *System) runJoinQuery(p *sim.Proc, coordPE int, arrival sim.Time) sim.Duration {
-	if s.faults == nil {
-		rt, _ := s.joinAttempt(p, coordPE, arrival)
-		return rt
-	}
-	for attempt := 0; ; attempt++ {
-		if rt, ok := s.joinAttempt(p, s.faults.liveHost(coordPE), arrival); ok {
-			return rt
-		}
-		s.faults.noteAbort()
-		p.Wait(retryBackoff(attempt))
-		s.faults.noteRetry()
-	}
+// Under fault injection a participant crash is detected at the phase
+// checkpoints inside joinAttempt, the attempt aborts (locks and the
+// placement reservation release) and retryQuery resubmits the query.
+func (s *System) runJoinQuery(p *sim.Proc, coordPE int, arrival sim.Time) {
+	s.retryQuery(p, coordPE, func(coordPE int) bool {
+		return s.joinAttempt(p, coordPE, arrival)
+	})
 }
 
 // joinAttempt runs one attempt of a join query on the given (live)
-// coordinator PE. It reports ok=false when a participant failure aborted
-// the attempt after teardown; the caller retries.
-func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) (sim.Duration, bool) {
+// coordinator PE. It reports false when a participant failure aborted the
+// attempt after teardown; the caller retries.
+func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) bool {
 	attemptStart := s.k.Now()
 	pe := s.pe(coordPE)
 	pe.mpl.Get(p, 1)
@@ -125,8 +113,14 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) (sim.Du
 		q.bPEs = s.faults.liveHosts(q.bPEs)
 	}
 	q.coordMail = sim.NewChan[cmsg](s.k, fmt.Sprintf("q%d/coord", q.id))
+	// failed reports whether any participant of the attempt — the
+	// coordinator, a join process host, or a scan host — has failed since
+	// the attempt started.
+	failed := func() bool {
+		return s.faults != nil && s.faults.anyFailedSince(attemptStart, []int{coordPE}, q.dec.JoinPEs, q.aPEs, q.bPEs)
+	}
 
-	pe.computeT(p, s.ct.initTxn)
+	pe.compute(p, s.cfg.Costs.InitTxn)
 
 	q.dec = s.requestDecision(p, coordPE)
 	deg := q.dec.Degree()
@@ -144,7 +138,7 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) (sim.Du
 	// scarcity (e.g. the Fig. 7 configuration).
 	if s.memBudget != nil {
 		perProc := clampMinSpace(
-			pphj.NumPartitions(pagesFor(share(s.cfg.AScanTuples(), deg, 0), s.cfg.Blocking), s.cfg.FudgeFactor),
+			pphj.NumPartitions(config.PagesFor(share(s.cfg.AScanTuples(), deg, 0), s.cfg.Blocking), s.cfg.FudgeFactor),
 			s.cfg.BufferPages)
 		demand := deg * perProc
 		if demand > s.memBudget.Cap() {
@@ -180,37 +174,15 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) (sim.Du
 
 	// Building phase: collect scan completions, then signal end-of-build
 	// to the join processes and wait for their reports.
-	for done := 0; done < len(q.aPEs); {
-		m, _ := q.coordMail.Get(p)
-		switch m.kind {
-		case cmsgScanADone:
-			s.recvCtlCPU(p, coordPE)
-			done++
-		case cmsgResult:
-			s.recvDataCPU(p, coordPE, m.tuples)
-		default:
-			panic(fmt.Sprintf("engine: q%d unexpected %v during A scans", q.id, m.kind))
-		}
-	}
+	s.collect(p, q.coordMail, coordPE, cmsgScanADone, len(q.aPEs), "A scans")
 	q.broadcastJoin(p, jmsgAEOF)
-	for done := 0; done < deg; {
-		m, _ := q.coordMail.Get(p)
-		switch m.kind {
-		case cmsgBuildDone:
-			s.recvCtlCPU(p, coordPE)
-			done++
-		case cmsgResult:
-			s.recvDataCPU(p, coordPE, m.tuples)
-		default:
-			panic(fmt.Sprintf("engine: q%d unexpected %v during build", q.id, m.kind))
-		}
-	}
+	s.collect(p, q.coordMail, coordPE, cmsgBuildDone, deg, "build")
 	// Fault checkpoint: a participant crashed during the building phase —
 	// its hash-table partitions are lost, so abort before probing. The join
 	// processes wait in their probe loops and must be told to stop.
-	if s.faults != nil && q.anyFailedSince(attemptStart) {
+	if failed() {
 		s.abortJoinAttempt(p, q, true)
-		return 0, false
+		return false
 	}
 
 	// Probing phase: start the B scans.
@@ -221,113 +193,32 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) (sim.Du
 			})
 		})
 	}
-	for done := 0; done < len(q.bPEs); {
-		m, _ := q.coordMail.Get(p)
-		switch m.kind {
-		case cmsgScanBDone:
-			s.recvCtlCPU(p, coordPE)
-			done++
-		case cmsgResult:
-			s.recvDataCPU(p, coordPE, m.tuples)
-		default:
-			panic(fmt.Sprintf("engine: q%d unexpected %v during B scans", q.id, m.kind))
-		}
-	}
+	s.collect(p, q.coordMail, coordPE, cmsgScanBDone, len(q.bPEs), "B scans")
 	q.broadcastJoin(p, jmsgBEOF)
-	for done := 0; done < deg; {
-		m, _ := q.coordMail.Get(p)
-		switch m.kind {
-		case cmsgResult:
-			s.recvDataCPU(p, coordPE, m.tuples)
-		case cmsgJoinDone:
-			s.recvCtlCPU(p, coordPE)
-			done++
-		default:
-			panic(fmt.Sprintf("engine: q%d unexpected %v during probe", q.id, m.kind))
-		}
-	}
+	s.collect(p, q.coordMail, coordPE, cmsgJoinDone, deg, "probe")
 	// Fault checkpoint: a participant crashed during probing or the
 	// deferred joins — results are incomplete, abort. The join processes
 	// have already terminated, so only locks and the reservation release.
-	if s.faults != nil && q.anyFailedSince(attemptStart) {
+	if failed() {
 		s.abortJoinAttempt(p, q, false)
-		return 0, false
+		return false
 	}
 
 	// Read-only optimization: one commit round releases the read locks.
-	q.releaseRound(p)
-	pe.computeT(p, s.ct.termTxn)
+	s.releaseRound(p, coordPE, q.txn, q.coordMail, q.aPEs, q.bPEs)
+	pe.compute(p, s.cfg.Costs.TermTxn)
 
 	// Return the placement's reservation to the control node's ledger.
 	q.releaseDecision()
 
-	rt := s.k.Now() - arrival
 	if s.measuring {
-		s.joinRT.Add(rt.Milliseconds())
+		rt := (s.k.Now() - arrival).Milliseconds()
+		s.joinRT.Add(rt)
 		if s.win != nil {
-			s.win.addRT(rt.Milliseconds())
+			s.win.addRT(rt)
 		}
 	}
-	return rt, true
-}
-
-// anyFailedSince reports whether any participant of the attempt — the
-// coordinator, a join process host, or a scan host — has failed since the
-// attempt started.
-func (q *joinQuery) anyFailedSince(start sim.Time) bool {
-	fs := q.s.faults
-	if fs.failedSince(q.coordPE, start) {
-		return true
-	}
-	for _, pe := range q.dec.JoinPEs {
-		if fs.failedSince(pe, start) {
-			return true
-		}
-	}
-	for _, pe := range q.aPEs {
-		if fs.failedSince(pe, start) {
-			return true
-		}
-	}
-	for _, pe := range q.bPEs {
-		if fs.failedSince(pe, start) {
-			return true
-		}
-	}
-	return false
-}
-
-// releaseRound sends the single commit/abort round to every scan host: each
-// participant releases the query's read locks and acks.
-func (q *joinQuery) releaseRound(p *sim.Proc) {
-	s := q.s
-	participants := 0
-	releaseOne := func(target int) {
-		participants++
-		s.sendCtl(p, q.coordPE, target, func() {
-			s.k.Spawn("commit-participant", func(cp *sim.Proc) {
-				s.recvCtlCPU(cp, target)
-				s.pe(target).locks.ReleaseAll(q.txn)
-				s.sendCtl(cp, target, q.coordPE, func() {
-					q.coordMail.Put(cmsg{kind: cmsgAck, from: target})
-				})
-			})
-		})
-	}
-	for _, ape := range q.aPEs {
-		releaseOne(ape)
-	}
-	for _, bpe := range q.bPEs {
-		releaseOne(bpe)
-	}
-	for acks := 0; acks < participants; {
-		m, _ := q.coordMail.Get(p)
-		if m.kind != cmsgAck {
-			panic(fmt.Sprintf("engine: q%d unexpected %v during commit", q.id, m.kind))
-		}
-		s.recvCtlCPU(p, q.coordPE)
-		acks++
-	}
+	return true
 }
 
 // releaseDecision returns the placement's reservation to the control
@@ -352,8 +243,8 @@ func (s *System) abortJoinAttempt(p *sim.Proc, q *joinQuery, stopProcs bool) {
 	if stopProcs {
 		q.broadcastJoin(p, jmsgStop)
 	}
-	q.releaseRound(p)
-	s.pe(q.coordPE).computeT(p, s.ct.termTxnHalf)
+	s.releaseRound(p, q.coordPE, q.txn, q.coordMail, q.aPEs, q.bPEs)
+	s.pe(q.coordPE).compute(p, s.cfg.Costs.TermTxn/2)
 	q.releaseDecision()
 }
 
@@ -375,9 +266,6 @@ func scanSpacePages(bufferPages int) int {
 
 // runScan executes one scan subquery: a clustered-index selection over the
 // local fragment whose output is redistributed among the join processes.
-// The page loop charges its loop-invariant segments through pre-converted
-// costT durations (the per-page batch of tuple costs stays a compute call:
-// its count varies on the last page).
 func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx int) {
 	start := s.k.Now()
 	done := cmsgScanBDone
@@ -393,7 +281,6 @@ func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx 
 	}
 	s.recvCtlCPU(p, pe.id) // start message
 	c := &s.cfg
-	ct := &s.ct
 
 	space := pe.buf.NewSpace(fmt.Sprintf("q%d/scan%d", q.id, pe.id), bufferQueryPriority, 0)
 	space.AcquireBestEffort(p, scanSpacePages(c.BufferPages))
@@ -422,14 +309,14 @@ func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx 
 		panic("engine: scan read lock aborted") // queries never deadlock: single S lock
 	}
 
-	match := share(selTuples(total, c.ScanSelectivity), nodes, fragIdx)
+	match := share(config.SelTuples(total, c.ScanSelectivity), nodes, fragIdx)
 
 	// Index descent: root is memory-resident, inner levels come from the
 	// disk cache most of the time.
 	for lvl := int64(0); lvl < 2; lvl++ {
 		pg := pageID(spaceIndexBase-int64(pe.id), lvl)
 		if !pe.disks.Read(p, dataDiskFor(pe, lvl), pg, false) {
-			pe.computeT(p, ct.io)
+			pe.compute(p, c.Costs.IO)
 		}
 	}
 
@@ -457,30 +344,15 @@ func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx 
 		})
 	}
 	rr := (int(q.id) + fragIdx) % deg
-	credit := make([]float64, 0)
+	var credit []float64
 	if q.weights != nil {
 		credit = make([]float64, deg)
 	}
 	var sent int64
-	var pageCursor int64
-	for remaining := match; remaining > 0; {
-		if s.faults != nil && s.faults.failedSince(pe.id, start) {
-			break // crashed mid-scan: stop doing real work
-		}
-		pg := pageID(relSpace*1_000_000-int64(fragIdx)*100_000, pageCursor)
-		if !pe.disks.Read(p, dataDiskFor(pe, pageCursor), pg, true) {
-			pe.computeT(p, ct.io)
-		}
-		pageCursor++
-		n := int64(c.Blocking)
-		if remaining < n {
-			n = remaining
-		}
-		remaining -= n
-		pe.compute(p, n*(c.Costs.ReadTuple+c.Costs.WriteTuple))
-		// The page's tuples hash-partition over the join processes —
-		// uniformly round-robin, or by the configured skew weights; full
-		// output buffers are transmitted immediately.
+	// The tuples of each page read hash-partition over the join processes —
+	// uniformly round-robin, or by the configured skew weights; full output
+	// buffers are transmitted immediately.
+	s.readPages(p, pe, relSpace*1_000_000-int64(fragIdx)*100_000, match, start, func(n int64) {
 		if q.weights == nil {
 			sent += n
 			for ; n > 0; n-- {
@@ -490,20 +362,20 @@ func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx 
 				}
 				rr = (rr + 1) % deg
 			}
-		} else {
-			for i := range credit {
-				credit[i] += float64(n) * q.weights[i]
-				if add := int64(credit[i]); add > 0 {
-					credit[i] -= float64(add)
-					bufs[i] += add
-					sent += add
-					for bufs[i] >= tpp {
-						sendBuf(i)
-					}
+			return
+		}
+		for i := range credit {
+			credit[i] += float64(n) * q.weights[i]
+			if add := int64(credit[i]); add > 0 {
+				credit[i] -= float64(add)
+				bufs[i] += add
+				sent += add
+				for bufs[i] >= tpp {
+					sendBuf(i)
 				}
 			}
 		}
-	}
+	})
 	if s.faults != nil && s.faults.failedSince(pe.id, start) {
 		// Crashed under the scan: the buffered output is lost; report
 		// completion so the coordinator's counting closes, then abort at
@@ -529,6 +401,28 @@ func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx 
 	s.sendCtl(p, pe.id, q.coordPE, func() {
 		q.coordMail.Put(cmsg{kind: done, from: pe.id})
 	})
+}
+
+// readPages is a scan subquery's sequential read of its clustered
+// fragment: the pages holding the match matching tuples, from page 0 of
+// space base. Each page is read with prefetch (plus the I/O CPU on a cache
+// miss), its tuples are charged a read and an output-buffer write, and
+// emit receives their count. The loop stops early once pe has failed since
+// start.
+func (s *System) readPages(p *sim.Proc, pe *PE, base, match int64, start sim.Time, emit func(n int64)) {
+	c := &s.cfg
+	for page, remaining := int64(0), match; remaining > 0; page++ {
+		if s.faults != nil && s.faults.failedSince(pe.id, start) {
+			return // crashed mid-scan: stop doing real work
+		}
+		if !pe.disks.Read(p, dataDiskFor(pe, page), pageID(base, page), true) {
+			pe.compute(p, c.Costs.IO)
+		}
+		n := min(int64(c.Blocking), remaining)
+		remaining -= n
+		pe.compute(p, n*(c.Costs.ReadTuple+c.Costs.WriteTuple))
+		emit(n)
+	}
 }
 
 // broadcastJoin sends a control message to every join process.
@@ -574,7 +468,7 @@ func (s *System) runJoinProc(p *sim.Proc, q *joinQuery, pe *PE, idx int) {
 	mail := q.joinMail[idx]
 
 	expInnerTuples := q.expectedShare(s.cfg.AScanTuples(), idx)
-	expInnerPages := pagesFor(expInnerTuples, c.Blocking)
+	expInnerPages := config.PagesFor(expInnerTuples, c.Blocking)
 	minPages := clampMinSpace(pphj.NumPartitions(expInnerPages, c.FudgeFactor), c.BufferPages)
 	desired := q.dec.MemPerPE
 	if desired < minPages {
@@ -783,27 +677,6 @@ func share(total int64, parts, idx int) int64 {
 		base++
 	}
 	return base
-}
-
-func selTuples(n int64, sel float64) int64 {
-	if sel <= 0 {
-		return 0
-	}
-	if sel >= 1 {
-		return n
-	}
-	t := int64(float64(n)*sel + 0.5)
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-func pagesFor(tuples int64, blocking int) int64 {
-	if tuples <= 0 {
-		return 0
-	}
-	return (tuples + int64(blocking) - 1) / int64(blocking)
 }
 
 func dataDiskFor(pe *PE, page int64) int {

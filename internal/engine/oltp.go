@@ -33,7 +33,6 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 
 	o := &s.cfg.OLTP
 	c := &s.cfg
-	ct := &s.ct
 	acct := acctSpaceFor(pe.id)
 
 	// Fault retries (fAttempt) are counted separately from deadlock retries
@@ -52,7 +51,7 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 		}
 		txnStart := s.k.Now()
 		txn := s.newTxnID()
-		pe.computeT(p, ct.initTxn)
+		pe.compute(p, c.Costs.InitTxn)
 
 		var pinned []disk.PageID
 		unpin := func() {
@@ -84,7 +83,7 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 			}
 			// Non-clustered index traversal: the account index is hot and
 			// memory resident (three levels of key comparisons, CPU only).
-			pe.computeT(p, ct.oltpIndex)
+			pe.compute(p, 3*c.Costs.ReadTuple+o.ExtraInstr)
 
 			// Long write lock on the selected tuple.
 			tuple := page*int64(c.Blocking) + s.rng.Int63n(int64(c.Blocking))
@@ -95,7 +94,7 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 			dataPg := pageID(acct, page)
 			pe.buf.Fix(p, dataPg, true, false, buffer.PriorityOLTP)
 			pinned = append(pinned, dataPg)
-			pe.computeT(p, ct.tupleRW)
+			pe.compute(p, c.Costs.ReadTuple+c.Costs.WriteTuple)
 		}
 
 		if faultAborted {
@@ -116,14 +115,14 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 			unpin()
 			scratch.Close()
 			pe.locks.ReleaseAll(txn)
-			pe.computeT(p, ct.termTxnHalf)
+			pe.compute(p, c.Costs.TermTxn/2)
 			attempt++
 			continue // retry
 		}
 
 		// Commit: force the log, then release everything.
-		pe.computeT(p, ct.termTxn)
-		pe.computeT(p, ct.io)
+		pe.compute(p, c.Costs.TermTxn)
+		pe.compute(p, c.Costs.IO)
 		pe.logDisk.Write(p, 0, pageID(-int64(pe.id)-1, s.nextQuery+int64(s.oltpStarted)))
 		unpin()
 		scratch.Close()

@@ -17,22 +17,11 @@ import (
 
 // runScanQuery executes one standalone scan query in the calling process.
 // Under fault injection a participant crash aborts the attempt at the
-// post-collection checkpoint and the query is resubmitted after capped
-// exponential backoff (see runJoinQuery); without a fault plan the single
-// attempt is the original code path.
+// post-collection checkpoint and retryQuery resubmits the query.
 func (s *System) runScanQuery(p *sim.Proc, coordPE int, class config.ScanClass, arrival sim.Time) {
-	if s.faults == nil {
-		s.scanQueryAttempt(p, coordPE, class, arrival)
-		return
-	}
-	for attempt := 0; ; attempt++ {
-		if s.scanQueryAttempt(p, s.faults.liveHost(coordPE), class, arrival) {
-			return
-		}
-		s.faults.noteAbort()
-		p.Wait(retryBackoff(attempt))
-		s.faults.noteRetry()
-	}
+	s.retryQuery(p, coordPE, func(coordPE int) bool {
+		return s.scanQueryAttempt(p, coordPE, class, arrival)
+	})
 }
 
 // scanQueryAttempt runs one attempt of a standalone scan query on the given
@@ -47,7 +36,7 @@ func (s *System) scanQueryAttempt(p *sim.Proc, coordPE int, class config.ScanCla
 	s.nextQuery++
 	qid := s.nextQuery
 	txn := s.newTxnID()
-	pe.computeT(p, s.ct.initTxn)
+	pe.compute(p, s.cfg.Costs.InitTxn)
 
 	relSpace := int64(spaceRelA)
 	total := s.cfg.ATuples
@@ -74,60 +63,18 @@ func (s *System) scanQueryAttempt(p *sim.Proc, coordPE int, class config.ScanCla
 			})
 		})
 	}
-
-	for done := 0; done < len(homes); {
-		m, _ := mail.Get(p)
-		switch m.kind {
-		case cmsgScanADone:
-			s.recvCtlCPU(p, coordPE)
-			done++
-		case cmsgResult:
-			s.recvDataCPU(p, coordPE, m.tuples)
-		default:
-			panic(fmt.Sprintf("engine: sq%d unexpected %v", qid, m.kind))
-		}
-	}
-
-	// Read-only commit round releases the fragment locks (also sent on
-	// abort — the release round is the same protocol).
-	releaseRound := func() {
-		for _, home := range homes {
-			s.sendCtl(p, coordPE, home, func() {
-				s.k.Spawn("scanq-commit", func(cp *sim.Proc) {
-					s.recvCtlCPU(cp, home)
-					s.pe(home).locks.ReleaseAll(txn)
-					s.sendCtl(cp, home, coordPE, func() {
-						mail.Put(cmsg{kind: cmsgAck, from: home})
-					})
-				})
-			})
-		}
-		for acks := 0; acks < len(homes); {
-			m, _ := mail.Get(p)
-			if m.kind != cmsgAck {
-				panic("engine: scan query commit protocol violation")
-			}
-			s.recvCtlCPU(p, coordPE)
-			acks++
-		}
-	}
+	s.collect(p, mail, coordPE, cmsgScanADone, len(homes), "scans")
 
 	// Fault checkpoint: a participant crashed during the scans — the
-	// streamed results are incomplete, so release the locks and abort.
-	if s.faults != nil {
-		failed := s.faults.failedSince(coordPE, attemptStart)
-		for _, home := range homes {
-			failed = failed || s.faults.failedSince(home, attemptStart)
-		}
-		if failed {
-			releaseRound()
-			pe.computeT(p, s.ct.termTxnHalf)
-			return false
-		}
+	// streamed results are incomplete, so release the locks (the commit
+	// round doubles as the abort round) and abort.
+	failed := s.faults != nil && s.faults.anyFailedSince(attemptStart, []int{coordPE}, homes)
+	s.releaseRound(p, coordPE, txn, mail, homes)
+	if failed {
+		pe.compute(p, s.cfg.Costs.TermTxn/2)
+		return false
 	}
-
-	releaseRound()
-	pe.computeT(p, s.ct.termTxn)
+	pe.compute(p, s.cfg.Costs.TermTxn)
 
 	if s.measuring {
 		s.scanRT.Add((s.k.Now() - arrival).Milliseconds())
@@ -148,9 +95,6 @@ type scanFragment struct {
 }
 
 // runScanFragment executes one scan subquery of a standalone scan query.
-// Its inner loops charge the loop-invariant cost segments through the
-// pre-converted costT durations; each hold rides the kernel's continuation
-// fast path when uncontended.
 func (s *System) runScanFragment(p *sim.Proc, f scanFragment, pe *PE) {
 	start := s.k.Now()
 	if s.faults != nil && !s.faults.hostUp(pe.id) {
@@ -165,61 +109,42 @@ func (s *System) runScanFragment(p *sim.Proc, f scanFragment, pe *PE) {
 	failed := func() bool { return s.faults != nil && s.faults.failedSince(pe.id, start) }
 	s.recvCtlCPU(p, pe.id)
 	c := &s.cfg
-	ct := &s.ct
 
 	if err := pe.locks.Lock(p, f.txn, lock.Key{Space: f.relSpace, Item: 0}, lock.Shared); err != nil {
 		panic("engine: scan fragment read lock aborted")
 	}
 
-	match := share(selTuples(f.total, f.class.Selectivity), f.nodes, f.fragIdx)
+	match := share(config.SelTuples(f.total, f.class.Selectivity), f.nodes, f.fragIdx)
 	tpp := c.TuplesPerPacket()
 
+	var buf int64 // result tuples awaiting a full packet
 	if f.class.Clustered {
 		// Matching pages are contiguous: sequential reads with prefetch,
 		// one result packet per filled buffer.
-		var pageCursor, buf int64
-		for remaining := match; remaining > 0; {
-			if failed() {
-				break
-			}
-			pg := pageID(f.relSpace*1_000_000-int64(f.fragIdx)*100_000-500_000, pageCursor)
-			if !pe.disks.Read(p, dataDiskFor(pe, pageCursor), pg, true) {
-				pe.computeT(p, ct.io)
-			}
-			pageCursor++
-			n := int64(c.Blocking)
-			if remaining < n {
-				n = remaining
-			}
-			remaining -= n
-			pe.compute(p, n*(c.Costs.ReadTuple+c.Costs.WriteTuple))
+		s.readPages(p, pe, f.relSpace*1_000_000-int64(f.fragIdx)*100_000-500_000, match, start, func(n int64) {
 			buf += n
 			for buf >= tpp {
 				buf -= tpp
 				s.sendResult(p, pe, f, tpp)
 			}
-		}
-		if buf > 0 && !failed() {
-			s.sendResult(p, pe, f, buf)
-		}
+		})
 	} else {
 		// Non-clustered index: an index descent (upper levels resident)
 		// plus one random data page access per matching tuple, through the
 		// buffer (repeated hits on hot pages are free).
-		fragPages := pagesFor(share(f.total, f.nodes, f.fragIdx), c.Blocking)
+		fragPages := config.PagesFor(share(f.total, f.nodes, f.fragIdx), c.Blocking)
 		if fragPages < 1 {
 			fragPages = 1
 		}
-		var buf int64
 		for i := int64(0); i < match; i++ {
 			if failed() {
 				break
 			}
-			pe.computeT(p, ct.scanDescent) // B+-tree descent, resident
+			pe.compute(p, 3*c.Costs.ReadTuple) // B+-tree descent, resident
 			page := (i*2654435761 + int64(f.qid)) % fragPages
 			pg := pageID(f.relSpace*1_000_000-int64(f.fragIdx)*100_000-700_000, page)
 			pe.buf.Fix(p, pg, false, false, buffer.PriorityQuery)
-			pe.computeT(p, ct.tupleRW)
+			pe.compute(p, c.Costs.ReadTuple+c.Costs.WriteTuple)
 			pe.buf.Unfix(pg)
 			buf++
 			if buf == tpp {
@@ -227,9 +152,9 @@ func (s *System) runScanFragment(p *sim.Proc, f scanFragment, pe *PE) {
 				s.sendResult(p, pe, f, tpp)
 			}
 		}
-		if buf > 0 && !failed() {
-			s.sendResult(p, pe, f, buf)
-		}
+	}
+	if buf > 0 && !failed() {
+		s.sendResult(p, pe, f, buf)
 	}
 
 	if failed() {
@@ -242,7 +167,6 @@ func (s *System) runScanFragment(p *sim.Proc, f scanFragment, pe *PE) {
 }
 
 func (s *System) sendResult(p *sim.Proc, pe *PE, f scanFragment, tuples int64) {
-	pe.compute(p, 0) // WriteTuple already charged per tuple above
 	mail := f.mail
 	s.sendData(p, pe.id, f.coordPE, tuples, func() {
 		mail.Put(cmsg{kind: cmsgResult, tuples: tuples, from: pe.id})

@@ -84,3 +84,67 @@ func TestScanClassValidation(t *testing.T) {
 		t.Error("selectivity > 1 accepted")
 	}
 }
+
+// scanPinned is what TestScanQueryResultsPinned holds fixed for one run:
+// the scan classes' response-time count and exact mean, the joins running
+// beside them, the fault layer's abort and retry counts, and the kernel's
+// event and spawn totals.
+type scanPinned struct {
+	N               int
+	MeanMS          float64
+	JoinsDone       int64
+	Aborts, Retries int64
+	Dispatched      int64
+	Spawns          int64
+}
+
+// TestScanQueryResultsPinned runs a clustered and a non-clustered scan
+// class on relation B, each without faults and under a crash of a scan
+// host (plus a straggler) that aborts scan attempts, and asserts exact
+// results. The scan-query coordinator and its fault path have no golden,
+// so this pins their event stream: a refactor of the coordinator protocol
+// must reproduce every value bit for bit.
+func TestScanQueryResultsPinned(t *testing.T) {
+	const faults = "crash(pe=3,at=2s,down=3s);straggler(pe=2,at=1s,factor=3)"
+	cases := []struct {
+		name   string
+		class  config.ScanClass
+		faults string
+		want   scanPinned
+	}{
+		{"clustered", config.ScanClass{Name: "cl", QPSPerPE: 0.1, OnB: true, Selectivity: 0.002, Clustered: true}, "",
+			scanPinned{14, 108.32329678571429, 1, 0, 0, 21209, 472}},
+		{"clustered/crash", config.ScanClass{Name: "cl", QPSPerPE: 0.1, OnB: true, Selectivity: 0.002, Clustered: true}, faults,
+			scanPinned{16, 137.28609106250002, 1, 2, 2, 25086, 546}},
+		{"nonclustered", config.ScanClass{Name: "ncl", QPSPerPE: 0.1, OnB: true, Selectivity: 0.0005}, "",
+			scanPinned{11, 1156.9290398181818, 1, 0, 0, 55726, 440}},
+		{"nonclustered/crash", config.ScanClass{Name: "ncl", QPSPerPE: 0.1, OnB: true, Selectivity: 0.0005}, faults,
+			scanPinned{14, 1468.4898747142859, 1, 3, 3, 76622, 538}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.NPE = 10
+			cfg.JoinQPSPerPE = 0.02
+			cfg.ScanClasses = []config.ScanClass{tc.class}
+			cfg.Warmup = sim.Second
+			cfg.MeasureTime = 8 * sim.Second
+			if tc.faults != "" {
+				cfg.Faults = mustFaults(t, tc.faults)
+			}
+			s := MustNew(cfg, core.MustByName("OPT-IO-CPU"))
+			res := s.Run()
+			st := s.Kernel().Stats()
+			got := scanPinned{res.ScanRT.N, res.ScanRT.MeanMS, res.JoinsDone, res.Aborts, res.Retries, st.Dispatched, st.Spawns}
+			if got != tc.want {
+				t.Errorf("got  %#v\nwant %#v", got, tc.want)
+			}
+			if got.N == 0 {
+				t.Error("no scan query completed")
+			}
+			if tc.faults != "" && got.Aborts == 0 {
+				t.Error("the crash aborted no attempt")
+			}
+		})
+	}
+}

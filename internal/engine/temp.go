@@ -51,7 +51,7 @@ func (tf *tempFile) flush(p *sim.Proc) {
 }
 
 func (tf *tempFile) flushRun(p *sim.Proc, n int) {
-	tf.pe.computeT(p, tf.pe.sys.ct.io)
+	tf.pe.compute(p, tf.pe.sys.cfg.Costs.IO)
 	tf.pe.disks.WriteRun(p, tf.dsk, disk.PageID{Space: tf.space, Page: tf.writeCursor}, n)
 	tf.writeCursor += int64(n)
 	tf.pending -= n
@@ -79,7 +79,7 @@ func (tf *tempFile) writeAsync(pages int64) {
 			if n-off < m {
 				m = n - off
 			}
-			tf.pe.computeT(p, s.ct.io)
+			tf.pe.compute(p, s.cfg.Costs.IO)
 			tf.pe.disks.WriteRun(p, tf.dsk, disk.PageID{Space: tf.space, Page: start + int64(off)}, m)
 		}
 	})
@@ -100,7 +100,7 @@ func (tf *tempFile) read(p *sim.Proc, pages int64) {
 		}
 		hit := tf.pe.disks.Read(p, tf.dsk, pg, true)
 		if !hit {
-			tf.pe.computeT(p, s.ct.io)
+			tf.pe.compute(p, s.cfg.Costs.IO)
 		}
 		s.tempIOPages++
 	}

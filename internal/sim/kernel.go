@@ -284,19 +284,7 @@ func (k *Kernel) dispatch(e *event) {
 // Events exactly at until are executed. Run may be called repeatedly with
 // increasing horizons.
 func (k *Kernel) Run(until Time) Time {
-	if k.running {
-		panic("sim: Kernel.Run re-entered")
-	}
-	k.running = true
-	k.horizon = until
-	defer func() { k.running = false }()
-	for {
-		e := k.next(until)
-		if e == nil {
-			break
-		}
-		k.dispatch(e)
-	}
+	k.run(until)
 	if k.now < until {
 		k.now = until
 	}
@@ -306,20 +294,26 @@ func (k *Kernel) Run(until Time) Time {
 // RunAll executes events until the calendar is empty, leaving the clock at
 // the time of the last event executed.
 func (k *Kernel) RunAll() Time {
+	k.run(maxTime)
+	return k.now
+}
+
+// run is the root dispatch loop behind Run and RunAll: it dispatches every
+// event with time <= until in (time, seq) order.
+func (k *Kernel) run(until Time) {
 	if k.running {
 		panic("sim: Kernel.Run re-entered")
 	}
 	k.running = true
-	k.horizon = maxTime
+	k.horizon = until
 	defer func() { k.running = false }()
 	for {
-		e := k.next(maxTime)
+		e := k.next(until)
 		if e == nil {
-			break
+			return
 		}
 		k.dispatch(e)
 	}
-	return k.now
 }
 
 // Pending reports the number of scheduled events (calendar and same-instant
