@@ -91,6 +91,13 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 			c.OLTP.Placement = OLTPOnBNode
 			c.OLTP.HotSetPages = c.OLTP.AccountPages
 		},
+		"Costs.RecvMsg -1": func(c *Config) { c.Costs.RecvMsg = -1 },
+		"Costs.IO -3000":   func(c *Config) { c.Costs.IO = -3000 },
+		"Costs.InitTxn -1": func(c *Config) { c.Costs.InitTxn = -1 },
+		"OLTP ExtraInstr -1e9": func(c *Config) {
+			c.OLTP.Placement = OLTPOnBNode
+			c.OLTP.ExtraInstr = -1e9
+		},
 	}
 	base := DefaultConfig()
 	base.NPE = 5

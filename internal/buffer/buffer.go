@@ -62,6 +62,7 @@ type Manager struct {
 	frames   map[disk.PageID]*frame
 	head     *frame // most recently used
 	tail     *frame
+	free     []*frame // evicted frames, reused by Fix
 	resident int
 	pinned   int
 	reserved int
@@ -220,7 +221,14 @@ func (m *Manager) Fix(p *sim.Proc, pg disk.PageID, dirty, sequential bool, prio 
 		m.drain()
 		return false
 	}
-	f := &frame{id: pg, pins: 1, dirty: dirty}
+	var f *frame
+	if n := len(m.free); n > 0 {
+		f = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		f = new(frame)
+	}
+	*f = frame{id: pg, pins: 1, dirty: dirty}
 	m.frames[pg] = f
 	m.pushFront(f)
 	return false
@@ -290,10 +298,7 @@ func (m *Manager) evictOne() bool {
 				m.hooks.WriteAsync(f.id)
 			}
 		}
-		m.remove(f)
-		delete(m.frames, f.id)
-		m.account()
-		m.resident--
+		m.drop(f)
 		return true
 	}
 	return false
@@ -306,12 +311,18 @@ func (m *Manager) Evict(pg disk.PageID) bool {
 	if !ok || f.pins > 0 {
 		return false
 	}
-	m.remove(f)
-	delete(m.frames, pg)
-	m.account()
-	m.resident--
+	m.drop(f)
 	m.drain()
 	return true
+}
+
+// drop removes an unpinned frame from the pool and keeps it for reuse.
+func (m *Manager) drop(f *frame) {
+	m.remove(f)
+	delete(m.frames, f.id)
+	m.free = append(m.free, f)
+	m.account()
+	m.resident--
 }
 
 // stealFrames asks working spaces with priority below prio to release

@@ -8,6 +8,7 @@ package config
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"dynlb/internal/disk"
 	"dynlb/internal/netw"
@@ -292,6 +293,14 @@ func (c *Config) Validate() error {
 		// windows per run; treat it as a unit confusion, not a request.
 		return fmt.Errorf("config: metrics window %v < 1ms", c.MetricsWindow)
 	}
+	// A negative instruction count would silently drop CPU work: the engine
+	// charges nothing for a non-positive count.
+	costs := reflect.ValueOf(c.Costs)
+	for i := range costs.NumField() {
+		if n := costs.Field(i).Int(); n < 0 {
+			return fmt.Errorf("config: Costs.%s %d < 0", costs.Type().Field(i).Name, n)
+		}
+	}
 	if err := c.Profile.Validate(); err != nil {
 		return err
 	}
@@ -305,7 +314,7 @@ func (c *Config) Validate() error {
 	}
 	if c.OLTP.Placement != OLTPNone {
 		o := c.OLTP
-		if !(o.TPSPerNode > 0) || math.IsInf(o.TPSPerNode, 1) || o.AccessesPerTx < 1 || o.AccountPages < 1 {
+		if !(o.TPSPerNode > 0) || math.IsInf(o.TPSPerNode, 1) || o.AccessesPerTx < 1 || o.AccountPages < 1 || o.ExtraInstr < 0 {
 			return fmt.Errorf("config: OLTP profile %+v invalid", o)
 		}
 		if !(o.HotAccessProb >= 0 && o.HotAccessProb <= 1) {

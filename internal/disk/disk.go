@@ -66,6 +66,17 @@ type Subsystem struct {
 	writes    int64
 	cacheHits int64
 	physReads int64 // physical accesses (a prefetch run counts once)
+
+	// Background writes waiting to start, in WriteAsync call order, and
+	// the one process body that starts them (see WriteAsync).
+	async     []asyncWrite
+	asyncHead int
+	asyncBody func(p *sim.Proc)
+}
+
+type asyncWrite struct {
+	dsk int
+	pg  PageID
 }
 
 // New creates a subsystem with ndisks disk servers and one controller.
@@ -86,6 +97,14 @@ func New(k *sim.Kernel, name string, ndisks int, p Params) *Subsystem {
 	}
 	if p.CacheSize > 0 {
 		s.cache = newLRU(p.CacheSize)
+	}
+	s.asyncBody = func(p *sim.Proc) {
+		w := s.async[s.asyncHead]
+		s.asyncHead++
+		if s.asyncHead == len(s.async) {
+			s.async, s.asyncHead = s.async[:0], 0
+		}
+		s.Write(p, w.dsk, w.pg)
 	}
 	return s
 }
@@ -159,10 +178,12 @@ func (s *Subsystem) Write(p *sim.Proc, dsk int, pg PageID) {
 
 // WriteAsync schedules a background page write that occupies the controller
 // and disk without blocking any process (used for no-force buffer flushes).
+// The write is queued and a process spawned to perform it; spawned processes
+// start at the current instant in spawn order, so each one takes the oldest
+// queued write and writes happen in call order.
 func (s *Subsystem) WriteAsync(dsk int, pg PageID) {
-	s.k.Spawn("disk-write-async", func(p *sim.Proc) {
-		s.Write(p, dsk, pg)
-	})
+	s.async = append(s.async, asyncWrite{dsk, pg})
+	s.k.Spawn("disk-write-async", s.asyncBody)
 }
 
 // WriteRun writes n consecutive pages starting at pg with a single physical
@@ -261,14 +282,18 @@ func (l *lru) put(id PageID) {
 		l.moveFront(n)
 		return
 	}
-	n := &lruNode{id: id}
+	var n *lruNode
+	if len(l.items) >= l.cap {
+		// Full: the least recent page makes room, and its node is reused.
+		n = l.tail
+		l.remove(n)
+		delete(l.items, n.id)
+		n.id = id
+	} else {
+		n = &lruNode{id: id}
+	}
 	l.items[id] = n
 	l.pushFront(n)
-	if len(l.items) > l.cap {
-		evict := l.tail
-		l.remove(evict)
-		delete(l.items, evict.id)
-	}
 }
 
 func (l *lru) pushFront(n *lruNode) {

@@ -206,21 +206,47 @@ func TestUtilizationWindow(t *testing.T) {
 	}
 }
 
+// TestWriteAsyncDoesNotBlock: WriteAsync returns at once, and writes issued
+// at one instant are performed in call order, each to its own disk and page.
 func TestWriteAsyncDoesNotBlock(t *testing.T) {
 	k := sim.NewKernel()
-	s := newTestSub(k, 1)
+	params := Defaults()
+	params.CacheSize = 2
+	s := New(k, "pe0", 3, params)
+	writes := []struct {
+		dsk int
+		pg  PageID
+	}{{0, PageID{Space: 5, Page: 0}}, {2, PageID{Space: 5, Page: 1}}, {1, PageID{Space: 5, Page: 2}}}
 	var elapsed sim.Time
 	k.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
-		s.WriteAsync(0, PageID{Space: 5, Page: 0})
+		for _, w := range writes {
+			s.WriteAsync(w.dsk, w.pg)
+		}
 		elapsed = p.Now() - start
 	})
-	k.RunAll()
+	end := k.RunAll()
 	if elapsed != 0 {
 		t.Errorf("WriteAsync blocked caller for %v", elapsed)
 	}
-	if s.Writes() != 1 {
-		t.Errorf("async write not performed: writes=%d", s.Writes())
+	if s.Writes() != 3 {
+		t.Errorf("async writes not performed: writes=%d", s.Writes())
+	}
+	// The controller starts the writes 1 ms apart in call order and the
+	// three disks overlap, so the last transfer ends at 2 + 1 + 16 + 0.4 ms.
+	if end != sim.FromMillis(19.4) {
+		t.Errorf("async writes ended at %v, want 19.4ms (one disk each, in call order)", end)
+	}
+	for d := range s.disks {
+		if busy := s.disks[d].BusyIntegral(); busy != float64(16*sim.Millisecond) {
+			t.Errorf("disk %d busy %v ns, want one 16 ms write", d, busy)
+		}
+	}
+	// The two-page cache keeps the last two pages written.
+	for i, w := range writes {
+		if cached := s.cache.get(w.pg); cached != (i > 0) {
+			t.Errorf("page %v cached=%v after writes in call order", w.pg, cached)
+		}
 	}
 }
 

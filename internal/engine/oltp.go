@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"dynlb/internal/buffer"
 	"dynlb/internal/disk"
 	"dynlb/internal/lock"
@@ -53,19 +51,16 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 		txn := s.newTxnID()
 		pe.compute(p, c.Costs.InitTxn)
 
-		var pinned []disk.PageID
-		unpin := func() {
-			for _, pg := range pinned {
-				pe.buf.Unfix(pg)
-			}
-			pinned = nil
-		}
+		// Pages pinned until commit; the array keeps the list off the heap
+		// for the default four accesses.
+		var pinnedArr [4]disk.PageID
+		pinned := pinnedArr[:0]
 
 		// Private workspace (log buffer, update workspace) reserved for the
 		// transaction's duration: the OLTP memory footprint the control
 		// node's AVAIL-MEMORY sees. High priority: taken ahead of queued
 		// join reservations, stealing join frames if necessary.
-		scratch := pe.buf.NewSpace(fmt.Sprintf("pe%d/oltp%d", pe.id, txn), buffer.PriorityOLTP, 0)
+		scratch := pe.buf.NewSpace("oltp-scratch", buffer.PriorityOLTP, 0)
 		scratch.AcquireBestEffort(p, scratchPagesPerTxn)
 
 		aborted := false
@@ -101,7 +96,7 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 			// The home PE crashed mid-transaction: the work is lost. Clean
 			// up (pure bookkeeping — no CPU is charged on a dead PE), back
 			// off and resubmit once the retry timer fires.
-			unpin()
+			pe.unfixAll(pinned)
 			scratch.Close()
 			pe.locks.ReleaseAll(txn)
 			s.faults.noteAbort()
@@ -112,7 +107,7 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 		}
 		if aborted {
 			s.aborts++
-			unpin()
+			pe.unfixAll(pinned)
 			scratch.Close()
 			pe.locks.ReleaseAll(txn)
 			pe.compute(p, c.Costs.TermTxn/2)
@@ -124,7 +119,7 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 		pe.compute(p, c.Costs.TermTxn)
 		pe.compute(p, c.Costs.IO)
 		pe.logDisk.Write(p, 0, pageID(-int64(pe.id)-1, s.nextQuery+int64(s.oltpStarted)))
-		unpin()
+		pe.unfixAll(pinned)
 		scratch.Close()
 		pe.locks.ReleaseAll(txn)
 
@@ -135,4 +130,11 @@ func (s *System) runOLTP(p *sim.Proc, pe *PE, arrival sim.Time) {
 		return
 	}
 	// Retries exhausted: give up (counted in aborts).
+}
+
+// unfixAll releases one pin on each page.
+func (pe *PE) unfixAll(pages []disk.PageID) {
+	for _, pg := range pages {
+		pe.buf.Unfix(pg)
+	}
 }

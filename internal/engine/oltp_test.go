@@ -76,3 +76,45 @@ func TestOLTPResultsPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestOLTPTransactionAllocs: a steady-state debit-credit transaction
+// allocates one object, its private buffer.Space. Lock-table entries and
+// key lists, buffer frames, disk-cache nodes and background writes are all
+// recycled, and the transaction builds no name and no escaping closure.
+func TestOLTPTransactionAllocs(t *testing.T) {
+	cfg := config.Default()
+	cfg.NPE = 2
+	cfg.JoinQPSPerPE = 0
+	s := MustNew(cfg, core.MustByName("psu-opt+RANDOM"))
+	pe := s.pe(0)
+	txns, stop := 0, false
+	s.k.Spawn("oltp-driver", func(p *sim.Proc) {
+		for !stop {
+			s.runOLTP(p, pe, s.k.Now())
+			txns++
+		}
+	})
+	// Each call runs exactly batch transactions: the driver completes
+	// them one at a time, and each forces a log write far longer than the
+	// 1 ms step.
+	const batch = 20
+	horizon := s.k.Now()
+	runBatch := func() {
+		for target := txns + batch; txns < target; {
+			horizon += sim.Millisecond
+			s.k.Run(horizon)
+		}
+	}
+	// Warm-up: free lists, maps and the hot set fill, and the sparse
+	// event stream touches every calendar bucket (each allocates its
+	// backing array once) — about 10,000 transactions.
+	for i := 0; i < 500; i++ {
+		runBatch()
+	}
+	perTxn := testing.AllocsPerRun(50, runBatch) / batch
+	stop = true
+	s.k.RunAll()
+	if perTxn > 1 {
+		t.Errorf("%.2f allocations per OLTP transaction, want at most 1 (its buffer.Space)", perTxn)
+	}
+}

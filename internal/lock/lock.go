@@ -6,9 +6,10 @@
 package lock
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dynlb/internal/sim"
 )
@@ -43,19 +44,31 @@ type Key struct {
 // deadlock victim; the caller must release all its locks and abort.
 var ErrDeadlock = errors.New("lock: aborted as deadlock victim")
 
-// Table is the lock table of one PE.
+// Table is the lock table of one PE. It remembers a key only while some
+// transaction holds or waits for it: an idle entry is deleted and recycled,
+// so the table's size follows the live lock set, not every tuple ever
+// locked, and an uncontended Lock/ReleaseAll cycle allocates nothing.
 type Table struct {
 	k       *sim.Kernel
 	name    string
 	entries map[Key]*entry
-	held    map[TxnID]map[Key]Mode
+	held    map[TxnID][]Key // keys each transaction holds
+
+	freeEntries []*entry
+	freeKeys    [][]Key
+	scratch     []Key // Abort's affected keys
 
 	waits, deadlocks int64
 }
 
 type entry struct {
-	holders map[TxnID]Mode
+	holders []holder // one X holder or one or more S holders
 	queue   []*request
+}
+
+type holder struct {
+	txn  TxnID
+	mode Mode
 }
 
 type request struct {
@@ -72,7 +85,7 @@ func NewTable(k *sim.Kernel, name string) *Table {
 	return &Table{
 		k: k, name: name,
 		entries: make(map[Key]*entry),
-		held:    make(map[TxnID]map[Key]Mode),
+		held:    make(map[TxnID][]Key),
 	}
 }
 
@@ -85,14 +98,24 @@ func (t *Table) Waits() int64 { return t.waits }
 // Deadlocks returns the number of aborts issued by deadlock resolution.
 func (t *Table) Deadlocks() int64 { return t.deadlocks }
 
+// holding returns the index of txn among the holders, or -1.
+func (e *entry) holding(txn TxnID) int {
+	for i, h := range e.holders {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
 // compatible reports whether mode m can be granted alongside the current
 // holders (ignoring holder self, for upgrades).
 func (e *entry) compatible(txn TxnID, m Mode) bool {
-	for h, hm := range e.holders {
-		if h == txn {
+	for _, h := range e.holders {
+		if h.txn == txn {
 			continue
 		}
-		if m == Exclusive || hm == Exclusive {
+		if m == Exclusive || h.mode == Exclusive {
 			return false
 		}
 	}
@@ -106,24 +129,28 @@ func (e *entry) compatible(txn TxnID, m Mode) bool {
 func (t *Table) Lock(p *sim.Proc, txn TxnID, key Key, m Mode) error {
 	e := t.entries[key]
 	if e == nil {
-		e = &entry{holders: make(map[TxnID]Mode)}
+		if n := len(t.freeEntries); n > 0 {
+			e = t.freeEntries[n-1]
+			t.freeEntries = t.freeEntries[:n-1]
+		} else {
+			e = &entry{}
+		}
 		t.entries[key] = e
 	}
-	if held, ok := e.holders[txn]; ok {
-		if held == Exclusive || m == Shared {
+	if i := e.holding(txn); i >= 0 {
+		if e.holders[i].mode == Exclusive || m == Shared {
 			return nil // already sufficient
 		}
 		// Upgrade S -> X.
 		if e.compatible(txn, Exclusive) && !t.upgradeQueued(e, txn) {
-			e.holders[txn] = Exclusive
-			t.setHeld(txn, key, Exclusive)
+			e.holders[i].mode = Exclusive
 			return nil
 		}
 		return t.wait(p, e, &request{p: p, txn: txn, mode: Exclusive, upgrade: true}, key)
 	}
 	if len(e.queue) == 0 && e.compatible(txn, m) {
-		e.holders[txn] = m
-		t.setHeld(txn, key, m)
+		e.holders = append(e.holders, holder{txn, m})
+		t.addHeld(txn, key)
 		return nil
 	}
 	return t.wait(p, e, &request{p: p, txn: txn, mode: m}, key)
@@ -160,65 +187,101 @@ func (t *Table) wait(p *sim.Proc, e *entry, r *request, key Key) error {
 	if !r.granted {
 		panic(fmt.Sprintf("lock: %s spurious wakeup txn %d", t.name, r.txn))
 	}
-	t.setHeld(r.txn, key, r.mode)
+	if !r.upgrade { // an upgraded key is already on txn's list
+		t.addHeld(r.txn, key)
+	}
 	return nil
 }
 
-func (t *Table) setHeld(txn TxnID, key Key, m Mode) {
-	hm := t.held[txn]
-	if hm == nil {
-		hm = make(map[Key]Mode)
-		t.held[txn] = hm
+func (t *Table) addHeld(txn TxnID, key Key) {
+	keys, ok := t.held[txn]
+	if n := len(t.freeKeys); !ok && n > 0 {
+		keys = t.freeKeys[n-1]
+		t.freeKeys = t.freeKeys[:n-1]
 	}
-	hm[key] = m
+	t.held[txn] = append(keys, key)
+}
+
+// dropHeld forgets txn's key list and recycles it.
+func (t *Table) dropHeld(txn TxnID) {
+	if keys, ok := t.held[txn]; ok {
+		delete(t.held, txn)
+		t.freeKeys = append(t.freeKeys, keys[:0])
+	}
 }
 
 // Unlock releases txn's lock on key and grants compatible waiters.
 func (t *Table) Unlock(txn TxnID, key Key) {
+	t.release(txn, key)
+	keys := t.held[txn]
+	if i := slices.Index(keys, key); i >= 0 {
+		t.held[txn] = slices.Delete(keys, i, i+1)
+	}
+	if len(t.held[txn]) == 0 {
+		t.dropHeld(txn)
+	}
+}
+
+// release drops txn's hold on key, grants compatible waiters and forgets
+// the key if that left it idle. It does not touch txn's key list.
+func (t *Table) release(txn TxnID, key Key) {
 	e := t.entries[key]
 	if e == nil {
 		panic(fmt.Sprintf("lock: %s unlock of unheld key %v", t.name, key))
 	}
-	if _, ok := e.holders[txn]; !ok {
+	i := e.holding(txn)
+	if i < 0 {
 		panic(fmt.Sprintf("lock: %s txn %d unlock of unheld key %v", t.name, txn, key))
 	}
-	delete(e.holders, txn)
-	if hm := t.held[txn]; hm != nil {
-		delete(hm, key)
-		if len(hm) == 0 {
-			delete(t.held, txn)
-		}
+	e.holders = slices.Delete(e.holders, i, i+1)
+	t.grant(e)
+	t.forgetIfIdle(key, e)
+}
+
+// forgetIfIdle deletes and recycles e once nobody holds or waits for key.
+func (t *Table) forgetIfIdle(key Key, e *entry) {
+	if len(e.holders) == 0 && len(e.queue) == 0 {
+		delete(t.entries, key)
+		t.freeEntries = append(t.freeEntries, e)
 	}
-	t.grant(e, key)
+}
+
+// compareKeys orders keys by (Space, Item): the order in which ReleaseAll
+// and Abort release locks and wake waiters.
+func compareKeys(a, b Key) int {
+	if c := cmp.Compare(a.Space, b.Space); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Item, b.Item)
 }
 
 // ReleaseAll releases every lock txn holds in this table (commit/abort under
-// strict 2PL) and removes it from all wait queues.
+// strict 2PL), in sorted key order so that the waiters it grants wake
+// deterministically. It does not remove txn's queued requests (Abort does).
 func (t *Table) ReleaseAll(txn TxnID) {
-	keys := make([]Key, 0, len(t.held[txn]))
-	for key := range t.held[txn] {
-		keys = append(keys, key)
+	keys, ok := t.held[txn]
+	if !ok {
+		return
 	}
-	// Deterministic release order.
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Space != keys[j].Space {
-			return keys[i].Space < keys[j].Space
-		}
-		return keys[i].Item < keys[j].Item
-	})
+	slices.SortFunc(keys, compareKeys)
 	for _, key := range keys {
-		t.Unlock(txn, key)
+		t.release(txn, key)
 	}
+	t.dropHeld(txn)
 }
 
-func (t *Table) grant(e *entry, key Key) {
+func (t *Table) grant(e *entry) {
 	for len(e.queue) > 0 {
 		r := e.queue[0]
 		if !e.compatible(r.txn, r.mode) {
 			return
 		}
 		e.queue = e.queue[1:]
-		e.holders[r.txn] = r.mode
+		if i := e.holding(r.txn); i >= 0 {
+			e.holders[i].mode = r.mode // upgrade
+		} else {
+			e.holders = append(e.holders, holder{r.txn, r.mode})
+		}
 		r.granted = true
 		r.p.Unpark()
 	}
@@ -229,9 +292,9 @@ func (t *Table) grant(e *entry, key Key) {
 func (t *Table) WaitsFor(edges map[TxnID][]TxnID) {
 	for _, e := range t.entries {
 		for _, r := range e.queue {
-			for h := range e.holders {
-				if h != r.txn {
-					edges[r.txn] = append(edges[r.txn], h)
+			for _, h := range e.holders {
+				if h.txn != r.txn {
+					edges[r.txn] = append(edges[r.txn], h.txn)
 				}
 			}
 			// Waiters also wait for incompatible earlier queue entries.
@@ -254,25 +317,13 @@ func (t *Table) Abort(txn TxnID) {
 	// Unparks and grants below assign event sequence numbers, so waking in
 	// entry-map iteration order would make every run with a deadlock abort
 	// nondeterministic (the same reason ReleaseAll sorts).
-	keys := make([]Key, 0, len(t.held[txn]))
+	keys := t.scratch[:0]
 	for key, e := range t.entries {
-		if _, ok := e.holders[txn]; ok {
+		if e.holding(txn) >= 0 || slices.ContainsFunc(e.queue, func(r *request) bool { return r.txn == txn }) {
 			keys = append(keys, key)
-			continue
-		}
-		for _, r := range e.queue {
-			if r.txn == txn {
-				keys = append(keys, key)
-				break
-			}
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Space != keys[j].Space {
-			return keys[i].Space < keys[j].Space
-		}
-		return keys[i].Item < keys[j].Item
-	})
+	slices.SortFunc(keys, compareKeys)
 	aborted := false
 	for _, key := range keys {
 		e := t.entries[key]
@@ -287,15 +338,14 @@ func (t *Table) Abort(txn TxnID) {
 			}
 			i++
 		}
-		if _, ok := e.holders[txn]; ok {
-			delete(e.holders, txn)
-			if hm := t.held[txn]; hm != nil {
-				delete(hm, key)
-			}
-			t.grant(e, key)
+		if i := e.holding(txn); i >= 0 {
+			e.holders = slices.Delete(e.holders, i, i+1)
+			t.grant(e)
 		}
+		t.forgetIfIdle(key, e)
 	}
-	delete(t.held, txn)
+	t.scratch = keys
+	t.dropHeld(txn)
 	if aborted {
 		t.deadlocks++
 	}

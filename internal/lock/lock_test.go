@@ -316,3 +316,91 @@ func TestAbortWakeOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestTableForgetsReleasedKeys: once every transaction has finished — after
+// contention, an S→X upgrade and a deadlock abort — the table remembers no
+// key and no per-transaction key list. A table that kept idle entries would
+// grow with every tuple ever locked, and the detector's WaitsFor walks them
+// all.
+func TestTableForgetsReleasedKeys(t *testing.T) {
+	k := sim.NewKernel()
+	tbl := NewTable(k, "pe0")
+	det := NewDetector(k, 5*sim.Millisecond)
+	det.Register(tbl)
+	var upgradedAt sim.Time
+	// txn 1 and 2 share key 1; txn 1 upgrades once txn 2 commits.
+	k.Spawn("upgrader", func(p *sim.Proc) {
+		tbl.Lock(p, 1, key(1), Shared)
+		p.Wait(sim.Millisecond)
+		if err := tbl.Lock(p, 1, key(1), Exclusive); err != nil {
+			t.Errorf("upgrade: %v", err)
+		}
+		upgradedAt = p.Now()
+		p.Wait(sim.Millisecond)
+		tbl.ReleaseAll(1)
+	})
+	k.Spawn("reader", func(p *sim.Proc) {
+		tbl.Lock(p, 2, key(1), Shared)
+		p.Wait(3 * sim.Millisecond)
+		tbl.ReleaseAll(2)
+	})
+	// txn 3 queues for key 1 behind both readers and the upgrade.
+	k.SpawnAt(sim.Microsecond, "writer", func(p *sim.Proc) {
+		if err := tbl.Lock(p, 3, key(1), Exclusive); err != nil {
+			t.Errorf("writer: %v", err)
+		}
+		tbl.ReleaseAll(3)
+	})
+	// txn 4 and 5 deadlock on keys 2 and 3; the detector aborts txn 5.
+	for _, d := range []struct {
+		txn         TxnID
+		first, then int64
+	}{{4, 2, 3}, {5, 3, 2}} {
+		k.Spawn("deadlocker", func(p *sim.Proc) {
+			tbl.Lock(p, d.txn, key(d.first), Exclusive)
+			p.Wait(sim.Millisecond)
+			if err := tbl.Lock(p, d.txn, key(d.then), Exclusive); err != nil && d.txn != 5 {
+				t.Errorf("txn %d aborted, want txn 5", d.txn)
+			}
+			tbl.ReleaseAll(d.txn)
+		})
+	}
+	k.Spawn("scan", func(p *sim.Proc) {
+		p.Wait(5 * sim.Millisecond)
+		det.ScanOnce()
+	})
+	k.RunAll()
+	if upgradedAt != 3*sim.Millisecond {
+		t.Errorf("upgrade granted at %v, want 3ms", upgradedAt)
+	}
+	if det.Victims() != 1 || tbl.Waits() != 4 {
+		t.Errorf("victims=%d waits=%d, want 1 and 4", det.Victims(), tbl.Waits())
+	}
+	if len(tbl.entries) != 0 || len(tbl.held) != 0 {
+		t.Errorf("table still remembers %d keys and %d transactions", len(tbl.entries), len(tbl.held))
+	}
+}
+
+// TestLockTableZeroAllocs: once the table's free lists have filled, an
+// uncontended transaction — four exclusive tuple locks, then commit —
+// allocates nothing. This is the lock-table share of an OLTP transaction.
+func TestLockTableZeroAllocs(t *testing.T) {
+	tbl := NewTable(sim.NewKernel(), "pe0")
+	txn := TxnID(0)
+	cycle := func() {
+		txn++
+		for i := int64(0); i < 4; i++ {
+			// Uncontended requests never park, so no process is needed.
+			if err := tbl.Lock(nil, txn, key(int64(txn)*4+i), Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl.ReleaseAll(txn)
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Errorf("%.2f allocs per Lock×4 + ReleaseAll, want 0", avg)
+	}
+}
