@@ -96,10 +96,19 @@ func TestLRUEvictionOrderAndDirtyWriteback(t *testing.T) {
 		if h.writes != 1 {
 			t.Errorf("dirty eviction writebacks=%d, want 1", h.writes)
 		}
+		// Page 6 reuses page 1's frame but was fixed clean: evicting it
+		// (after pages 4 and 5) writes nothing.
+		for i := int64(7); i <= 9; i++ {
+			m.Fix(p, pg(i), false, false, PriorityOLTP)
+			m.Unfix(pg(i))
+		}
+		if h.writes != 1 {
+			t.Errorf("recycled frame stayed dirty: writebacks=%d, want 1", h.writes)
+		}
 	})
 	k.RunAll()
-	if m.Evictions() != 3 || m.DirtyEvictions() != 1 {
-		t.Errorf("evictions=%d dirty=%d, want 3/1", m.Evictions(), m.DirtyEvictions())
+	if m.Evictions() != 6 || m.DirtyEvictions() != 1 {
+		t.Errorf("evictions=%d dirty=%d, want 6/1", m.Evictions(), m.DirtyEvictions())
 	}
 }
 

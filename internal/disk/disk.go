@@ -70,7 +70,6 @@ type Subsystem struct {
 	// Background writes waiting to start, in WriteAsync call order, and
 	// the one process body that starts them (see WriteAsync).
 	async     []asyncWrite
-	asyncHead int
 	asyncBody func(p *sim.Proc)
 }
 
@@ -99,11 +98,8 @@ func New(k *sim.Kernel, name string, ndisks int, p Params) *Subsystem {
 		s.cache = newLRU(p.CacheSize)
 	}
 	s.asyncBody = func(p *sim.Proc) {
-		w := s.async[s.asyncHead]
-		s.asyncHead++
-		if s.asyncHead == len(s.async) {
-			s.async, s.asyncHead = s.async[:0], 0
-		}
+		w := s.async[0]
+		s.async = append(s.async[:0], s.async[1:]...)
 		s.Write(p, w.dsk, w.pg)
 	}
 	return s

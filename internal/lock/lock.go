@@ -47,7 +47,8 @@ var ErrDeadlock = errors.New("lock: aborted as deadlock victim")
 // Table is the lock table of one PE. It remembers a key only while some
 // transaction holds or waits for it: an idle entry is deleted and recycled,
 // so the table's size follows the live lock set, not every tuple ever
-// locked, and an uncontended Lock/ReleaseAll cycle allocates nothing.
+// locked. Once its free lists have filled, an uncontended Lock/ReleaseAll
+// cycle allocates nothing.
 type Table struct {
 	k       *sim.Kernel
 	name    string
@@ -56,7 +57,6 @@ type Table struct {
 
 	freeEntries []*entry
 	freeKeys    [][]Key
-	scratch     []Key // Abort's affected keys
 
 	waits, deadlocks int64
 }
@@ -317,7 +317,7 @@ func (t *Table) Abort(txn TxnID) {
 	// Unparks and grants below assign event sequence numbers, so waking in
 	// entry-map iteration order would make every run with a deadlock abort
 	// nondeterministic (the same reason ReleaseAll sorts).
-	keys := t.scratch[:0]
+	var keys []Key
 	for key, e := range t.entries {
 		if e.holding(txn) >= 0 || slices.ContainsFunc(e.queue, func(r *request) bool { return r.txn == txn }) {
 			keys = append(keys, key)
@@ -344,7 +344,6 @@ func (t *Table) Abort(txn TxnID) {
 		}
 		t.forgetIfIdle(key, e)
 	}
-	t.scratch = keys
 	t.dropHeld(txn)
 	if aborted {
 		t.deadlocks++
