@@ -47,8 +47,8 @@ func TestDegradedResultsPinned(t *testing.T) {
 	}{
 		{"oltp/slowdisk", oltp, "slowdisk(pe=2,at=1s,for=4s,factor=6)",
 			degradedPinned{0, 0, 3662, 324.5267832037136, 0, 2089, 0.7023232479400001, 0.46191376799999995, 0, 0, 248882, 15525}},
-		{"oltp/straggler", oltp, "straggler(pe=1,at=1s,for=3s,factor=3);straggler(pe=3,at=2s,for=2s,factor=2)",
-			degradedPinned{0, 0, 4592, 208.8834842443372, 0, 1444, 0.6796786321166667, 0.5010214859500001, 0, 0, 254499, 15901}},
+		{"oltp/straggler", oltp, "straggler(pe=1,at=1s,for=3s,factor=3);straggler(pe=3,at=2s,for=2s,factor=1.7)",
+			degradedPinned{1, 5691.992047, 4643, 231.77441452078412, 0, 1558, 0.6943713748, 0.5055135544833333, 0, 0, 259769, 16155}},
 		{"join/crash+slowdisk+straggler", func(c *config.Config) { c.JoinQPSPerPE = 0.3 },
 			"crash(pe=4,at=2s,down=2s);slowdisk(pe=2,at=1s,for=4s,factor=4);straggler(pe=1,at=3s,factor=2)",
 			degradedPinned{8, 1887.64200925, 0, 0, 0, 5458, 0.04464635304666666, 0.44606473526666673, 2, 2, 131432, 635}},
@@ -56,8 +56,8 @@ func TestDegradedResultsPinned(t *testing.T) {
 			c.BufferPages = 5
 			c.DisksPerPE = 1
 			c.JoinQPSPerPE = 0.2
-		}, "slowdisk(pe=3,at=1s,for=2s,factor=5);slowdisk(pe=3,at=4s,for=2s,factor=3)",
-			degradedPinned{5, 2414.985127, 0, 0, 0, 5966, 0.2994349066833334, 0.21431473786666663, 0, 0, 50698, 359}},
+		}, "slowdisk(pe=3,at=1s,for=2s,factor=5);slowdisk(pe=3,at=4s,for=2s,factor=2.3)",
+			degradedPinned{6, 2464.277403666667, 0, 0, 0, 6108, 0.3028806670666667, 0.21696952255, 0, 0, 51240, 383}},
 		{"oltp/no-transfer-no-prefetch", func(c *config.Config) {
 			oltp(c)
 			c.Disk.TransferPerPage = 0
