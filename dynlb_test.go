@@ -98,6 +98,20 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 			c.OLTP.Placement = OLTPOnBNode
 			c.OLTP.ExtraInstr = -1e9
 		},
+		// A finite rate above 1e9 arrivals per simulated second draws
+		// interarrival times that round to 0 ns, so the run never ends.
+		"JoinQPSPerPE 1e300": func(c *Config) { c.JoinQPSPerPE = 1e300 },
+		"OLTP TPSPerNode 1e300": func(c *Config) {
+			c.OLTP.Placement = OLTPOnBNode
+			c.OLTP.TPSPerNode = 1e300
+		},
+		"scan class QPSPerPE 1e300": func(c *Config) {
+			c.ScanClasses = []config.ScanClass{{Name: "s", QPSPerPE: 1e300, Selectivity: 0.01, Clustered: true}}
+		},
+		"JoinQPSPerPE 0.25 under a 1e300 square wave": func(c *Config) {
+			c.JoinQPSPerPE = 0.25
+			c.Profile = SquareWave(1e300, Seconds(1), 0.5)
+		},
 	}
 	base := DefaultConfig()
 	base.NPE = 5

@@ -307,15 +307,25 @@ func (c *Config) Validate() error {
 	if err := c.Faults.Validate(c.NPE); err != nil {
 		return err
 	}
+	peak := c.Profile.PeakMult()
+	if err := checkRate("JoinQPSPerPE*NPE", c.JoinQPSPerPE*float64(c.NPE), peak); err != nil {
+		return err
+	}
 	for i, sc := range c.ScanClasses {
 		if !(sc.QPSPerPE > 0 && !math.IsInf(sc.QPSPerPE, 1) && sc.Selectivity > 0 && sc.Selectivity <= 1) {
 			return fmt.Errorf("config: scan class %d (%s) invalid: %+v", i, sc.Name, sc)
+		}
+		if err := checkRate(fmt.Sprintf("scan class %d (%s) QPSPerPE*NPE", i, sc.Name), sc.QPSPerPE*float64(c.NPE), peak); err != nil {
+			return err
 		}
 	}
 	if c.OLTP.Placement != OLTPNone {
 		o := c.OLTP
 		if !(o.TPSPerNode > 0) || math.IsInf(o.TPSPerNode, 1) || o.AccessesPerTx < 1 || o.AccountPages < 1 || o.ExtraInstr < 0 {
 			return fmt.Errorf("config: OLTP profile %+v invalid", o)
+		}
+		if err := checkRate("OLTP.TPSPerNode", o.TPSPerNode, peak); err != nil {
+			return err
 		}
 		if !(o.HotAccessProb >= 0 && o.HotAccessProb <= 1) {
 			return fmt.Errorf("config: OLTP hot access probability %v", o.HotAccessProb)
@@ -328,6 +338,20 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("config: OLTP hot set %d pages of %d invalid at hot access probability %v",
 				o.HotSetPages, o.AccountPages, o.HotAccessProb)
 		}
+	}
+	return nil
+}
+
+// maxArrivalRate bounds an open arrival stream, in arrivals per simulated
+// second. Above it the mean interarrival time is under 1 ns: draws round
+// to 0 ns, and the arrival loop stops advancing the clock.
+const maxArrivalRate = 1e9
+
+// checkRate rejects an arrival stream whose base rate times the load
+// profile's peak multiplier exceeds maxArrivalRate.
+func checkRate(stream string, rate, peak float64) error {
+	if rate*peak > maxArrivalRate {
+		return fmt.Errorf("config: %s peak arrival rate %g/s above %g/s", stream, rate*peak, maxArrivalRate)
 	}
 	return nil
 }

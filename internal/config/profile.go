@@ -186,6 +186,20 @@ func (lp LoadProfile) RateMult(t sim.Duration) float64 {
 	}
 }
 
+// PeakMult returns the largest arrival-rate multiplier the profile reaches:
+// the high phase's Factor for square and flash profiles (1 if the factor
+// lowers the rate), 1 + Amp for diurnal, and 1 otherwise.
+func (lp LoadProfile) PeakMult() float64 {
+	switch lp.Kind {
+	case ProfileSquare, ProfileFlash:
+		return math.Max(lp.Factor, 1)
+	case ProfileDiurnal:
+		return 1 + lp.Amp
+	default:
+		return 1
+	}
+}
+
 // SkewAt returns the redistribution skew at profile time t given the
 // configured base skew, clamped to [0, maxProfileSkew].
 func (lp LoadProfile) SkewAt(t sim.Duration, base float64) float64 {

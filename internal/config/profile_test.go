@@ -169,3 +169,47 @@ func TestParseProfileDefaultsAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestProfilePeakMult: PeakMult bounds RateMult from above over whole
+// periods, and is reached.
+func TestProfilePeakMult(t *testing.T) {
+	cases := []struct {
+		p    LoadProfile
+		want float64
+	}{
+		{ConstantProfile(), 1},
+		{SquareWave(4, 2*sim.Second, 0.5), 4},
+		{SquareWave(0.25, 2*sim.Second, 0.5), 1},
+		{Diurnal(0.6, 8*sim.Second), 1.6},
+		{SkewDrift(0.5), 1},
+		{FlashCrowd(2*sim.Second, 3*sim.Second, 4, 1), 4},
+	}
+	for _, c := range cases {
+		peak := c.p.PeakMult()
+		if math.Abs(peak-c.want) > 1e-12 {
+			t.Errorf("%v: PeakMult = %v, want %v", c.p, peak, c.want)
+		}
+		top := 0.0
+		for ts := -8 * sim.Second; ts <= 8*sim.Second; ts += 10 * sim.Millisecond {
+			top = math.Max(top, c.p.RateMult(ts))
+		}
+		if top > peak || math.Abs(top-peak) > 1e-9 {
+			t.Errorf("%v: RateMult peaks at %v, PeakMult %v", c.p, top, peak)
+		}
+	}
+}
+
+// TestArrivalRateBound: Validate accepts an arrival stream at 1e9 arrivals
+// per simulated second and rejects one whose profile peak lies above.
+func TestArrivalRateBound(t *testing.T) {
+	c := Default()
+	c.NPE = 10
+	c.JoinQPSPerPE = 1e8
+	if err := c.Validate(); err != nil {
+		t.Fatalf("rate at the bound rejected: %v", err)
+	}
+	c.Profile = Diurnal(0.5, sim.Second)
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "JoinQPSPerPE") {
+		t.Errorf("1e9/s under a diurnal peak of 1.5: err = %v", err)
+	}
+}

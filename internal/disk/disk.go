@@ -57,12 +57,6 @@ type Subsystem struct {
 	cache  *lru
 	params Params
 
-	// slow > 1 stretches every controller and disk service time by that
-	// factor (fault injection: a degraded disk subsystem). 0 or 1 is the
-	// unmodified fast path — no float multiply touches the durations, so
-	// fault-free runs stay bit-identical.
-	slow float64
-
 	writes    int64
 	cacheHits int64
 	physReads int64 // physical accesses (a prefetch run counts once)
@@ -105,21 +99,15 @@ func New(k *sim.Kernel, name string, ndisks int, p Params) *Subsystem {
 	return s
 }
 
-// SetSlowdown sets the service-time stretch factor of the whole subsystem
-// (fault injection). 1 restores normal speed.
+// SetSlowdown sets the service-time stretch factor of the whole subsystem,
+// the controller and every arm (fault injection). A stage of an I/O in
+// flight is stretched by the factor in force when it reaches that station.
+// f <= 1 restores normal speed.
 func (s *Subsystem) SetSlowdown(f float64) {
-	if f <= 1 {
-		f = 0 // keep the zero-value fast path
+	s.ctrl.SetSlowdown(f)
+	for _, d := range s.disks {
+		d.SetSlowdown(f)
 	}
-	s.slow = f
-}
-
-// stretch applies the degradation factor to a service time.
-func (s *Subsystem) stretch(d sim.Duration) sim.Duration {
-	if s.slow > 1 {
-		return sim.Duration(float64(d) * s.slow)
-	}
-	return d
 }
 
 // NDisks returns the number of disk servers.
@@ -139,7 +127,7 @@ func (s *Subsystem) DiskFor(space int64) int {
 func (s *Subsystem) Read(p *sim.Proc, dsk int, pg PageID, sequential bool) bool {
 	if s.cache != nil && s.cache.get(pg) {
 		s.cacheHits++
-		s.ctrl.Use(p, s.stretch(s.params.CtrlPerPage+s.params.TransferPerPage))
+		s.ctrl.Use(p, s.params.CtrlPerPage+s.params.TransferPerPage)
 		return true
 	}
 	n := 1
@@ -147,10 +135,13 @@ func (s *Subsystem) Read(p *sim.Proc, dsk int, pg PageID, sequential bool) bool 
 		n = s.params.Prefetch
 	}
 	s.physReads++
-	s.ctrl.Use(p, s.stretch(s.params.CtrlPerPage))
-	access := s.stretch(s.params.AvgAccess + sim.Duration(n)*s.params.PrefetchPerPage)
-	s.disk(dsk).Use(p, access)
-	s.ctrl.Use(p, s.stretch(s.params.TransferPerPage))
+	// One route: controller, arm, controller. Read, Write and WriteRun call
+	// UseRoute themselves: a shared helper's frame would stay on the
+	// coroutine stack of every process waiting in an I/O.
+	p.UseRoute(
+		sim.Stage{S: s.ctrl, D: s.params.CtrlPerPage},
+		sim.Stage{S: s.disk(dsk), D: s.params.AvgAccess + sim.Duration(n)*s.params.PrefetchPerPage},
+		sim.Stage{S: s.ctrl, D: s.params.TransferPerPage})
 	if s.cache != nil {
 		for i := 0; i < n; i++ {
 			s.cache.put(PageID{Space: pg.Space, Page: pg.Page + int64(i)})
@@ -164,9 +155,10 @@ func (s *Subsystem) Read(p *sim.Proc, dsk int, pg PageID, sequential bool) bool 
 // shortly after, e.g. temporary join partitions).
 func (s *Subsystem) Write(p *sim.Proc, dsk int, pg PageID) {
 	s.writes++
-	s.ctrl.Use(p, s.stretch(s.params.CtrlPerPage))
-	s.disk(dsk).Use(p, s.stretch(s.params.AvgAccess+s.params.PrefetchPerPage))
-	s.ctrl.Use(p, s.stretch(s.params.TransferPerPage))
+	p.UseRoute(
+		sim.Stage{S: s.ctrl, D: s.params.CtrlPerPage},
+		sim.Stage{S: s.disk(dsk), D: s.params.AvgAccess + s.params.PrefetchPerPage},
+		sim.Stage{S: s.ctrl, D: s.params.TransferPerPage})
 	if s.cache != nil {
 		s.cache.put(pg)
 	}
@@ -192,9 +184,11 @@ func (s *Subsystem) WriteRun(p *sim.Proc, dsk int, pg PageID, n int) {
 		return
 	}
 	s.writes += int64(n)
-	s.ctrl.Use(p, s.stretch(sim.Duration(n)*s.params.CtrlPerPage))
-	s.disk(dsk).Use(p, s.stretch(s.params.AvgAccess+sim.Duration(n)*s.params.PrefetchPerPage))
-	s.ctrl.Use(p, s.stretch(sim.Duration(n)*s.params.TransferPerPage))
+	pages := sim.Duration(n)
+	p.UseRoute(
+		sim.Stage{S: s.ctrl, D: pages * s.params.CtrlPerPage},
+		sim.Stage{S: s.disk(dsk), D: s.params.AvgAccess + pages*s.params.PrefetchPerPage},
+		sim.Stage{S: s.ctrl, D: pages * s.params.TransferPerPage})
 	if s.cache != nil {
 		for i := 0; i < n; i++ {
 			s.cache.put(PageID{Space: pg.Space, Page: pg.Page + int64(i)})

@@ -33,10 +33,6 @@ type PE struct {
 	locks   *lock.Table
 	mpl     *sim.Store
 
-	// cpuSlow > 1 stretches every CPU charge by that factor (fault
-	// injection: a straggler PE). 1 is the unmodified fast path.
-	cpuSlow float64
-
 	// utilization snapshot for periodic control reports.
 	lastReportAt   sim.Time
 	lastReportBusy float64
@@ -45,24 +41,15 @@ type PE struct {
 // ID returns the PE id.
 func (pe *PE) ID() int { return pe.id }
 
-// compute charges instr instructions on this PE's CPU for process p; a
+// compute charges instr instructions on this PE's CPU for process p (a
+// straggler's CPU stretches the charge; see faultState.setCPUFactor); a
 // non-positive count charges nothing. A positive count whose duration
 // rounds to zero still passes through the FCFS CPU server.
 func (pe *PE) compute(p *sim.Proc, instr int64) {
 	if instr <= 0 {
 		return
 	}
-	pe.cpu.Use(p, pe.stretchCPU(pe.sys.cfg.CPUTime(instr)))
-}
-
-// stretchCPU applies the straggler degradation factor to a CPU duration.
-// cpuSlow == 1 (the fault-free state) returns d untouched — no float
-// multiply, bit-identical.
-func (pe *PE) stretchCPU(d sim.Duration) sim.Duration {
-	if pe.cpuSlow > 1 {
-		return sim.Duration(float64(d) * pe.cpuSlow)
-	}
-	return d
+	pe.cpu.Use(p, pe.sys.cfg.CPUTime(instr))
 }
 
 // cpuSince returns the CPU utilization since the last report and rolls the
@@ -167,13 +154,12 @@ func New(cfg config.Config, strategy core.Strategy) (*System, error) {
 	}
 	for i := 0; i < cfg.NPE; i++ {
 		pe := &PE{
-			id:      i,
-			sys:     s,
-			cpu:     sim.NewServer(k, fmt.Sprintf("pe%d/cpu", i), cfg.CPUsPerPE),
-			disks:   disk.New(k, fmt.Sprintf("pe%d", i), cfg.DisksPerPE, cfg.Disk),
-			mpl:     sim.NewStore(k, fmt.Sprintf("pe%d/mpl", i), cfg.MPL),
-			locks:   lock.NewTable(k, fmt.Sprintf("pe%d/locks", i)),
-			cpuSlow: 1,
+			id:    i,
+			sys:   s,
+			cpu:   sim.NewServer(k, fmt.Sprintf("pe%d/cpu", i), cfg.CPUsPerPE),
+			disks: disk.New(k, fmt.Sprintf("pe%d", i), cfg.DisksPerPE, cfg.Disk),
+			mpl:   sim.NewStore(k, fmt.Sprintf("pe%d/mpl", i), cfg.MPL),
+			locks: lock.NewTable(k, fmt.Sprintf("pe%d/locks", i)),
 		}
 		logParams := cfg.Disk
 		logParams.CacheSize = 0

@@ -106,7 +106,7 @@ func (fs *faultState) setDiskFactor(pe int, f float64) {
 
 func (fs *faultState) setCPUFactor(pe int, f float64) {
 	fs.cpuFactor[pe] = f
-	fs.s.pes[pe].cpuSlow = f
+	fs.s.pes[pe].cpu.SetSlowdown(f)
 	fs.updateHealth(pe)
 }
 

@@ -2,9 +2,10 @@ package sim
 
 import "testing"
 
-// Alloc-regression guard: the four hot paths of the simulator — the raw
-// event path, the Wait loop, contended server handoff and mailbox
-// ping-pong — must stay at zero steady-state allocations. The benchmarks
+// Alloc-regression guard: the five hot paths of the simulator — the raw
+// event path, the Wait loop, contended server handoff, a contended
+// three-stage route and mailbox ping-pong — must stay at zero steady-state
+// allocations. The benchmarks
 // document this; this test makes it a CI gate (-short safe, no -bench run
 // needed). Any regression here means a new code path allocates per event
 // and will show up as runtime.mallocgc in sweep profiles.
@@ -85,6 +86,22 @@ func TestHotPathZeroAllocs(t *testing.T) {
 			})
 		}
 		requireZeroAllocs(t, "server contention", measureSteadyAllocs(t, k, 100*Microsecond))
+		stop = true
+		k.RunAll()
+	})
+
+	t.Run("route", func(t *testing.T) {
+		k := NewKernel()
+		ctrl, arm := NewServer(k, "ctrl", 1), NewServer(k, "arm", 2)
+		stop := false
+		for i := 0; i < 8; i++ {
+			k.Spawn("io", func(p *Proc) {
+				for !stop {
+					p.UseRoute(Stage{ctrl, Microsecond}, Stage{arm, 3 * Microsecond}, Stage{ctrl, Microsecond})
+				}
+			})
+		}
+		requireZeroAllocs(t, "route", measureSteadyAllocs(t, k, 100*Microsecond))
 		stop = true
 		k.RunAll()
 	})

@@ -55,9 +55,10 @@ func BenchmarkKernelWaitLoopParked(b *testing.B) { benchWaitLoop(b, false) }
 
 // benchServerContention measures a contended FCFS station: 8 processes
 // sharing a 2-server station, so most Use calls queue (park on the waiter
-// list) and every Release hands off to a queued process. The fast path
-// turns each of those handoffs into a direct process-to-process switch
-// instead of a round trip through the root loop.
+// list) and every Release hands the server to a queued process. The kernel
+// starts that process's hold at the grant, without a switch; the process
+// resumes at the end of its service, through the root loop unless it is
+// the dispatcher itself.
 func benchServerContention(b *testing.B, inline bool) {
 	const procs = 8
 	k := NewKernel()

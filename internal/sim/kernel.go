@@ -113,6 +113,11 @@ func (k *Kernel) Blocked() int { return k.blocked }
 // process; perfbench still reads it. OverflowLen/OverflowPeak/
 // OverflowPushes/Migrations count the events that lie beyond the fixed
 // wheel horizon (see calQueue).
+//
+// InlineWakes and Handoffs count the resume events that resume a process.
+// A resume event that the kernel handles for the process — a server grant
+// that starts a hold, a route's move to its next station (see
+// Proc.UseRoute) — is dispatched but counts in neither.
 type KernelStats struct {
 	Dispatched  int64 // events dispatched since kernel creation
 	InlineWakes int64 // blocks resolved in-context (continuation fast path, no switch)
@@ -266,12 +271,17 @@ func (k *Kernel) switchTo(p *Proc) {
 	}
 }
 
-// dispatch recycles e and performs its action from the root loop: a switch
-// into the process for resume-proc events, a call for run-fn events.
+// dispatch recycles e and performs its action from the root loop: for a
+// resume-proc event, the process's kernel step (Kernel.step) or a switch
+// into the process; for a run-fn event, a call.
 func (k *Kernel) dispatch(e *event) {
 	if p := e.p; p != nil {
 		k.freeEvent(e)
-		k.switchTo(p)
+		if p.stepNext {
+			k.step(p)
+		} else {
+			k.switchTo(p)
+		}
 		return
 	}
 	fn := e.fn

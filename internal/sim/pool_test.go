@@ -128,14 +128,16 @@ func TestSpawnPoolReuse(t *testing.T) {
 }
 
 // TestShutdownKillsBlockedProcs: Shutdown unwinds processes blocked on every
-// primitive (calendar wait, server queue, store, mailbox, park), runs their
-// defers, and releases all worker goroutines.
+// primitive (calendar wait, server queue, store, mailbox, park, and a
+// route's stations, queued or in service at its first, middle and last
+// stage), runs their defers, and releases all worker goroutines.
 func TestShutdownKillsBlockedProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()
 	srv := NewServer(k, "cpu", 1)
 	st := NewStore(k, "mem", 1)
 	mail := NewChan[int](k, "mail")
+	a, b, c, d := NewServer(k, "a", 1), NewServer(k, "b", 1), NewServer(k, "c", 1), NewServer(k, "d", 1)
 	defersRun := 0
 	body := []func(p *Proc){
 		func(p *Proc) { p.Wait(Time(1) * Second) },
@@ -144,6 +146,11 @@ func TestShutdownKillsBlockedProcs(t *testing.T) {
 		func(p *Proc) { st.Get(p, 1); defer st.Put(1); p.Wait(Second) },
 		func(p *Proc) { mail.Get(p) },
 		func(p *Proc) { p.Park() },
+		func(p *Proc) { p.UseRoute(Stage{a, Millisecond}, Stage{b, Second}, Stage{a, Millisecond}) }, // in service at b
+		func(p *Proc) { p.UseRoute(Stage{a, Millisecond}, Stage{b, Second}, Stage{a, Millisecond}) }, // queued at b
+		func(p *Proc) { p.UseRoute(Stage{c, Second}, Stage{a, Millisecond}, Stage{b, Millisecond}) }, // in service at c
+		func(p *Proc) { p.UseRoute(Stage{c, Second}, Stage{a, Millisecond}, Stage{b, Millisecond}) }, // queued at c
+		func(p *Proc) { p.UseRoute(Stage{d, Millisecond}, Stage{a, Millisecond}, Stage{d, Second}) }, // in service at d, last
 	}
 	for _, fn := range body {
 		k.Spawn("victim", func(p *Proc) {
@@ -152,8 +159,10 @@ func TestShutdownKillsBlockedProcs(t *testing.T) {
 		})
 	}
 	k.Run(100 * Millisecond)
-	if k.Live() != len(body) {
-		t.Fatalf("Live = %d before Shutdown, want %d", k.Live(), len(body))
+	// Blocked: the queued Use, the mailbox reader, the parked process and
+	// the two processes queued inside routes.
+	if k.Live() != len(body) || k.Blocked() != 5 {
+		t.Fatalf("Live = %d, Blocked = %d before Shutdown, want %d and 5", k.Live(), k.Blocked(), len(body))
 	}
 	k.Shutdown()
 	if k.Live() != 0 {

@@ -20,6 +20,9 @@ import (
 // root Run loop, which resumes the other one. An uncontended timed hold —
 // Wait after an immediate Acquire, Server.Use on a free station — therefore
 // runs entirely switch-free when no other process has an intervening turn.
+// A contended Server.Use, and a route of station visits (UseRoute), resume
+// their process only once, at the end: the kernel starts a queued hold at
+// its grant and moves the process between stations itself.
 //
 // Coroutines are pooled (Kernel.SetSpawnPooling, on by default): a process
 // that returns parks its worker coroutine on the kernel's free list instead
@@ -36,6 +39,14 @@ type Proc struct {
 	done    bool
 	arg     int64
 	liveIdx int // index in Kernel.procs while live
+
+	// The route p is being served along (see UseRoute).
+	stages   [maxStages]Stage
+	nStages  int
+	stage    int      // index of the station p is at
+	hold     Duration // service time there, stretched on arrival
+	queued   bool     // waiting for a server there
+	stepNext bool     // p's next resume event goes to Kernel.step instead
 }
 
 // worker is a pooled process coroutine: a suspended coroutine plus the Proc
@@ -215,11 +226,13 @@ func (k *Kernel) spawn(t Time, name string, arg int64, fn func(p *Proc)) *Proc {
 // exactly the (time, seq) order the root loop would, runs fn events inline,
 // and returns the moment its own resume event comes up — no switch at all.
 // A resume event for another process is named in Kernel.handoff and the
-// process yields; the root loop resumes the named process. Draining the
-// horizon yields with no process named, and the root Run loop returns to
-// its caller. Because the fast path dispatches the identical event sequence
-// the root loop would have dispatched on a suspended process's behalf,
-// simulation results are bit-identical with the fast path on or off.
+// process yields; the root loop resumes the named process. A resume event
+// that starts a queued hold or moves a route on (its own included) goes to
+// Kernel.step and resumes no one. Draining the horizon yields with no
+// process named, and the root Run loop returns to its caller. Because the
+// fast path dispatches the identical event sequence the root loop would
+// have dispatched on a suspended process's behalf, simulation results are
+// bit-identical with the fast path on or off.
 func (p *Proc) block() {
 	k := p.k
 	if k.inline {
@@ -232,6 +245,10 @@ func (p *Proc) block() {
 			}
 			if q := e.p; q != nil {
 				k.freeEvent(e)
+				if q.stepNext {
+					k.step(q)
+					continue
+				}
 				if q == p {
 					// Our own wake: continue in-context, no switch at all.
 					k.inlineWakes++
