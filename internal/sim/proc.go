@@ -47,6 +47,7 @@ type Proc struct {
 	hold     Duration // service time there, stretched on arrival
 	queued   bool     // waiting for a server there
 	stepNext bool     // p's next resume event goes to Kernel.step instead
+	queuedAt Time     // when p joined the server queue it waits in
 }
 
 // worker is a pooled process coroutine: a suspended coroutine plus the Proc

@@ -16,8 +16,7 @@ type Server struct {
 	name string
 	cap  int
 	busy int
-	q    []*serverWaiter
-	free []*serverWaiter // recycled waiters; Acquire/Release are alloc-free in steady state
+	q    []*Proc // waiting processes, FCFS; each records its arrival in queuedAt
 
 	// slow > 1 stretches the service time of every visit that arrives
 	// (fault injection: a degraded station); otherwise durations are used
@@ -29,13 +28,6 @@ type Server struct {
 	queueInt  float64 // integral of queue length over time
 	served    int64
 	totalWait Time
-}
-
-// serverWaiter is a queued request for one server: a process blocked in
-// Acquire.
-type serverWaiter struct {
-	p       *Proc
-	arrived Time
 }
 
 // NewServer creates a server station with the given capacity (>= 1).
@@ -92,15 +84,8 @@ func (s *Server) take() bool {
 // enqueue files p at the tail of the FCFS queue as blocked; Release grants
 // it the server.
 func (s *Server) enqueue(p *Proc) {
-	var w *serverWaiter
-	if n := len(s.free); n > 0 {
-		w = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		w = &serverWaiter{}
-	}
-	w.p, w.arrived = p, s.k.Now()
-	s.q = append(s.q, w)
+	p.queuedAt = s.k.Now()
+	s.q = append(s.q, p)
 	s.k.blocked++
 }
 
@@ -126,18 +111,16 @@ func (s *Server) Release() {
 		s.busy--
 		return
 	}
-	w := s.q[0]
+	p := s.q[0]
 	copy(s.q, s.q[1:])
 	s.q[len(s.q)-1] = nil
 	s.q = s.q[:len(s.q)-1]
 	s.served++
-	s.totalWait += s.k.Now() - w.arrived
+	s.totalWait += s.k.Now() - p.queuedAt
 	// Wake the waiter holding the server (busy is unchanged — the server
 	// passed hand to hand): its Acquire returns, or the kernel starts its
 	// hold (see Kernel.step).
-	w.p.unpark()
-	w.p = nil
-	s.free = append(s.free, w)
+	p.unpark()
 }
 
 // Use occupies one server for service time d, stretched by the station's
