@@ -19,8 +19,9 @@ const (
 	// unavailable. After Down the PE recovers (Down = 0 keeps it down for
 	// the rest of the run).
 	FaultCrash FaultKind = iota
-	// FaultSlowDisk degrades the PE's disk subsystem: every disk service
-	// time is multiplied by Factor for For (For = 0: rest of the run).
+	// FaultSlowDisk degrades the PE's data disks: every data disk service
+	// time is multiplied by Factor for For (For = 0: rest of the run). The
+	// PE's OLTP log disk keeps full speed.
 	FaultSlowDisk
 	// FaultStraggler stretches the PE's CPU: every compute cost is
 	// multiplied by Factor for For (For = 0: rest of the run).

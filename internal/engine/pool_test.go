@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -9,43 +8,6 @@ import (
 	"dynlb/internal/core"
 	"dynlb/internal/sim"
 )
-
-// TestPooledSpawnIdenticalResults pins worker pooling at the system level,
-// the same way TestInlineDispatchIdenticalResults pins the
-// continuation fast path: a full multi-user run — joins, OLTP, commit
-// rounds, control traffic — must produce bit-identical Results with worker
-// pooling on (default) and off (one coroutine per spawn). Together with the
-// sim-level trace tests and the golden CSVs this enforces that pooling
-// never alters a simulation outcome.
-func TestPooledSpawnIdenticalResults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep in -short mode")
-	}
-	cfg := quickCfg()
-	cfg.OLTP.Placement = config.OLTPOnANode
-	cfg.OLTP.TPSPerNode = 50
-
-	pooled := MustNew(cfg, core.MustByName("OPT-IO-CPU"))
-	pooledRes := pooled.Run()
-	pooledStats := pooled.Kernel().Stats()
-
-	unpooled := MustNew(cfg, core.MustByName("OPT-IO-CPU"))
-	unpooled.Kernel().SetSpawnPooling(false)
-	unpooledRes := unpooled.Run()
-
-	if !reflect.DeepEqual(pooledRes, unpooledRes) {
-		t.Fatalf("results differ between pooled and unpooled spawn:\npooled:   %+v\nunpooled: %+v", pooledRes, unpooledRes)
-	}
-
-	// The pool must actually engage: nearly every spawn in a run of this
-	// size reuses a parked worker.
-	if pooledStats.SpawnReuses == 0 {
-		t.Fatal("pool never engaged (SpawnReuses = 0)")
-	}
-	if u := unpooled.Kernel().Stats(); u.SpawnReuses != 0 {
-		t.Fatalf("unpooled kernel recorded %d spawn reuses", u.SpawnReuses)
-	}
-}
 
 // TestGoroutineCeiling verifies the pool's scaling contract during a real
 // multi-user run: the worker-goroutine count stays bounded by the peak

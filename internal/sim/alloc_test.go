@@ -2,10 +2,10 @@ package sim
 
 import "testing"
 
-// Alloc-regression guard: the five hot paths of the simulator — the raw
+// Alloc-regression guard: the six hot paths of the simulator — the raw
 // event path, the Wait loop, contended server handoff, a contended
-// three-stage route and mailbox ping-pong — must stay at zero steady-state
-// allocations. The benchmarks
+// three-stage route, contended store grants and mailbox ping-pong — must
+// stay at zero steady-state allocations. The benchmarks
 // document this; this test makes it a CI gate (-short safe, no -bench run
 // needed). Any regression here means a new code path allocates per event
 // and will show up as runtime.mallocgc in sweep profiles.
@@ -102,6 +102,27 @@ func TestHotPathZeroAllocs(t *testing.T) {
 			})
 		}
 		requireZeroAllocs(t, "route", measureSteadyAllocs(t, k, 100*Microsecond))
+		stop = true
+		k.RunAll()
+	})
+
+	t.Run("store", func(t *testing.T) {
+		// Requests of 1-3 units against 4: a blocked head holds back later
+		// requests that would fit, so grants come in FCFS bursts at a Put.
+		k := NewKernel()
+		st := NewStore(k, "mem", 4)
+		stop := false
+		for i := 0; i < 8; i++ {
+			n := i%3 + 1
+			k.Spawn("txn", func(p *Proc) {
+				for !stop {
+					st.Get(p, n)
+					p.Wait(Microsecond)
+					st.Put(n)
+				}
+			})
+		}
+		requireZeroAllocs(t, "store", measureSteadyAllocs(t, k, 100*Microsecond))
 		stop = true
 		k.RunAll()
 	})

@@ -4,10 +4,8 @@ import "testing"
 
 // The process benchmarks drive b.N operations through a single long Run
 // horizon, the regime the engine actually runs in (one Run(warmup), one
-// Run(warmup+measure)): the continuation fast path is active and a blocked
-// process dispatches its own wake-up in-context. Each has a Parked variant
-// with the fast path disabled — the pre-continuation park/resume behavior —
-// so the switch cost the fast path removes is measured in the same binary.
+// Run(warmup+measure)): a blocked process dispatches its own wake-up
+// in-context.
 
 // BenchmarkEventDispatch measures the raw event path — one calendar insert
 // plus one extract and dispatch per operation — with no process handoff,
@@ -30,15 +28,13 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
-// benchWaitLoop measures the steady-state cost of one Proc.Wait: one
-// calendar insert and one extract. With the fast path (inline=true) the
-// waiter dispatches its own wake-up and never switches goroutines; without
-// it every Wait pays the two switches of a park/resume pair. ns/op here
-// bounds overall simulator throughput — Wait is the dominant primitive of
-// every simulation run. allocs/op must be 0 in steady state either way.
-func benchWaitLoop(b *testing.B, inline bool) {
+// BenchmarkKernelWaitLoop measures the steady-state cost of one Proc.Wait:
+// one calendar insert and one extract. The waiter dispatches its own
+// wake-up and never switches coroutines. ns/op here bounds overall
+// simulator throughput — Wait is the dominant primitive of every
+// simulation run. allocs/op must be 0 in steady state.
+func BenchmarkKernelWaitLoop(b *testing.B) {
 	k := NewKernel()
-	k.SetInlineDispatch(inline)
 	n := 0
 	k.Spawn("waiter", func(p *Proc) {
 		for ; n < b.N; n++ {
@@ -50,19 +46,15 @@ func benchWaitLoop(b *testing.B, inline bool) {
 	k.RunAll()
 }
 
-func BenchmarkKernelWaitLoop(b *testing.B)       { benchWaitLoop(b, true) }
-func BenchmarkKernelWaitLoopParked(b *testing.B) { benchWaitLoop(b, false) }
-
-// benchServerContention measures a contended FCFS station: 8 processes
+// BenchmarkServerContention measures a contended FCFS station: 8 processes
 // sharing a 2-server station, so most Use calls queue (park on the waiter
 // list) and every Release hands the server to a queued process. The kernel
 // starts that process's hold at the grant, without a switch; the process
 // resumes at the end of its service, through the root loop unless it is
 // the dispatcher itself.
-func benchServerContention(b *testing.B, inline bool) {
+func BenchmarkServerContention(b *testing.B) {
 	const procs = 8
 	k := NewKernel()
-	k.SetInlineDispatch(inline)
 	srv := NewServer(k, "cpu", 2)
 	n := 0
 	for i := 0; i < procs; i++ {
@@ -78,15 +70,11 @@ func benchServerContention(b *testing.B, inline bool) {
 	k.RunAll()
 }
 
-func BenchmarkServerContention(b *testing.B)       { benchServerContention(b, true) }
-func BenchmarkServerContentionParked(b *testing.B) { benchServerContention(b, false) }
-
-// benchChanPingPong measures mailbox latency: two processes bouncing a
+// BenchmarkChanPingPong measures mailbox latency: two processes bouncing a
 // token through a pair of Chans, i.e. two Put/Get pairs (wake + handoff)
 // per iteration, with the consumer always parked when Put arrives.
-func benchChanPingPong(b *testing.B, inline bool) {
+func BenchmarkChanPingPong(b *testing.B) {
 	k := NewKernel()
-	k.SetInlineDispatch(inline)
 	ping := NewChan[int](k, "ping")
 	pong := NewChan[int](k, "pong")
 	n := 0
@@ -112,17 +100,12 @@ func benchChanPingPong(b *testing.B, inline bool) {
 	k.RunAll()
 }
 
-func BenchmarkChanPingPong(b *testing.B)       { benchChanPingPong(b, true) }
-func BenchmarkChanPingPongParked(b *testing.B) { benchChanPingPong(b, false) }
-
 // BenchmarkUncontendedUse measures Server.Use on a free station — the
 // engine's hottest call shape (pe.compute charging a CPU hold): Acquire
-// succeeds immediately and the timed hold is a pure continuation. With the
-// fast path this is Acquire + calendar insert/extract + Release with zero
-// goroutine switches.
-func benchUncontendedUse(b *testing.B, inline bool) {
+// succeeds immediately and the timed hold is a pure continuation — Acquire
+// + calendar insert/extract + Release with zero coroutine switches.
+func BenchmarkUncontendedUse(b *testing.B) {
 	k := NewKernel()
-	k.SetInlineDispatch(inline)
 	srv := NewServer(k, "cpu", 1)
 	n := 0
 	k.Spawn("worker", func(p *Proc) {
@@ -135,18 +118,13 @@ func benchUncontendedUse(b *testing.B, inline bool) {
 	k.RunAll()
 }
 
-func BenchmarkUncontendedUse(b *testing.B)       { benchUncontendedUse(b, true) }
-func BenchmarkUncontendedUseParked(b *testing.B) { benchUncontendedUse(b, false) }
-
-// benchSpawnEphemeral measures the full lifecycle of a short-lived process
-// — spawn, one timed hold, return — the shape of every OLTP transaction,
-// commit participant and control helper in the engine. With pooling the
+// BenchmarkSpawnEphemeral measures the full lifecycle of a short-lived
+// process — spawn, one timed hold, return — the shape of every OLTP
+// transaction, commit participant and control helper in the engine. The
 // spawn hands the body to a parked worker and resumes its coroutine: no
-// coroutine birth, no Proc allocation. The Unpooled variant pays a fresh
-// coroutine per spawn — the pre-PR-6 behavior.
-func benchSpawnEphemeral(b *testing.B, pooled bool) {
+// coroutine birth, no Proc allocation.
+func BenchmarkSpawnEphemeral(b *testing.B) {
 	k := NewKernel()
-	k.SetSpawnPooling(pooled)
 	n := 0
 	child := func(c *Proc) {
 		c.Wait(Microsecond)
@@ -163,9 +141,6 @@ func benchSpawnEphemeral(b *testing.B, pooled bool) {
 	b.StopTimer()
 	k.Shutdown()
 }
-
-func BenchmarkSpawnEphemeral(b *testing.B)         { benchSpawnEphemeral(b, true) }
-func BenchmarkSpawnEphemeralUnpooled(b *testing.B) { benchSpawnEphemeral(b, false) }
 
 // BenchmarkChanBurstSingleGet measures consuming a 16-message burst with
 // one Get per message: only the first Get of a burst blocks, so the burst

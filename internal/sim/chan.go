@@ -55,7 +55,7 @@ func (c *Chan[T]) wakeOne() {
 	copy(c.readers, c.readers[1:])
 	c.readers[len(c.readers)-1] = nil
 	c.readers = c.readers[:len(c.readers)-1]
-	r.unpark()
+	r.Unpark()
 }
 
 // take removes and returns the head item; the buffer must be nonempty.

@@ -30,12 +30,12 @@ const maxTime = Time(1<<63 - 1)
 // (scheduled earlier, from a past instant) fire first.
 //
 // Dispatch is cooperative ("the ball"): exactly one context at a time — the
-// root Run loop or one process — pops and dispatches events. A blocking
-// process keeps dispatching in its own context until its own resume event
-// comes up (continuation fast path, no switch at all). When another
-// process's turn arrives first, it names that process in handoff and yields
-// to the root loop, which resumes it: two coroutine switches, no Go
-// scheduler run queue involved. See Proc.block.
+// root Run loop or one process — pops and dispatches events, through one
+// function, Kernel.pop. A blocking process keeps dispatching in its own
+// context until its own resume event comes up (continuation fast path, no
+// switch at all). When another process's turn arrives first, it names that
+// process in handoff and yields to the root loop, which resumes it: two
+// coroutine switches, no Go scheduler run queue involved. See Proc.block.
 type Kernel struct {
 	now     Time
 	seq     int64
@@ -45,8 +45,6 @@ type Kernel struct {
 	pool    []*event
 	handoff *Proc // process a yielding ball holder named; the root loop resumes it next
 	running bool
-	inline  bool // continuation fast path enabled (default true)
-	pooling bool // spawn reuses parked worker coroutines (default true)
 	killing bool // Shutdown in progress: resumes unwind via the kill sentinel
 	horizon Time // until of the active Run; valid while running
 	blocked int  // processes parked on a resource or mailbox
@@ -63,33 +61,7 @@ type Kernel struct {
 }
 
 // NewKernel returns an empty kernel at time zero.
-func NewKernel() *Kernel {
-	return &Kernel{inline: true, pooling: true}
-}
-
-// SetSpawnPooling toggles worker pooling. With it disabled every Spawn
-// starts a fresh coroutine that ends when the process returns (the pre-pool
-// behavior). Dispatch order — and therefore every simulation result
-// — is identical either way; the switch exists for benchmarks and
-// equivalence tests. It must not be called while Run is active.
-func (k *Kernel) SetSpawnPooling(enabled bool) {
-	if k.running {
-		panic("sim: SetSpawnPooling during Run")
-	}
-	k.pooling = enabled
-}
-
-// SetInlineDispatch toggles the continuation fast path. With it disabled
-// every block yields to the root Run loop, which dispatches the process's
-// resume event (the pre-fast-path behavior). Dispatch order — and
-// therefore every simulation result — is identical either way; the switch
-// exists for benchmarks and determinism tests. It must not be called while Run is active.
-func (k *Kernel) SetInlineDispatch(enabled bool) {
-	if k.running {
-		panic("sim: SetInlineDispatch during Run")
-	}
-	k.inline = enabled
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -114,10 +86,11 @@ func (k *Kernel) Blocked() int { return k.blocked }
 // OverflowPushes/Migrations count the events that lie beyond the fixed
 // wheel horizon (see calQueue).
 //
-// InlineWakes and Handoffs count the resume events that resume a process.
-// A resume event that the kernel handles for the process — a server grant
-// that starts a hold, a route's move to its next station (see
-// Proc.UseRoute) — is dispatched but counts in neither.
+// InlineWakes and Handoffs count the resume events that resume a process:
+// InlineWakes those that a blocked process pops for itself, Handoffs those
+// that switch into a process. A resume event that the kernel handles for
+// the process — a server grant that starts a hold, a route's move to its
+// next station (see Proc.UseRoute) — is dispatched but counts in neither.
 type KernelStats struct {
 	Dispatched  int64 // events dispatched since kernel creation
 	InlineWakes int64 // blocks resolved in-context (continuation fast path, no switch)
@@ -187,9 +160,8 @@ func (k *Kernel) schedule(e *event) {
 // At schedules fn to run in kernel context at absolute time t.
 // It panics if t is in the simulated past.
 //
-// "Kernel context" is wherever dispatch is happening: with the
-// continuation fast path (the default) fn may execute inside a blocked
-// process's coroutine rather than in the Run loop. A panic escaping fn
+// "Kernel context" is wherever dispatch is happening: fn executes in the
+// Run loop or inside a blocked process's coroutine. A panic escaping fn
 // surfaces from Run on the caller's goroutine either way; when fn ran in a
 // process's context it arrives wrapped in a *ProcPanic naming that process.
 // After such a panic the kernel may only be shut down.
@@ -252,41 +224,28 @@ func (k *Kernel) next(until Time) *event {
 	return e
 }
 
-// switchTo hands the ball to p: it resumes p's coroutine and, each time
-// the ball holder yields naming the process whose turn came up (see
-// Proc.block), resumes that one. It returns once a ball holder yields
-// without naming one — it drained the horizon, its body returned, or the
-// fast path is off — and the root loop pops the next event itself.
-func (k *Kernel) switchTo(p *Proc) {
+// pop dispatches events in (time, seq) order with time <= until, in the
+// calling context, and returns the next process to resume, or nil at the
+// horizon. A run-fn event runs here; a resume event of a process inside a
+// station visit (stepNext) goes to Kernel.step and resumes no one. Both
+// dispatch contexts pop through it: the root loop (Kernel.run) and a
+// blocking process (Proc.block).
+func (k *Kernel) pop(until Time) *Proc {
 	for {
-		if p.done {
-			panic(fmt.Sprintf("sim: resuming finished process %q", p.name))
+		e := k.next(until)
+		if e == nil {
+			return nil
 		}
-		k.handoffs++
-		p.next()
-		if p = k.handoff; p == nil {
-			return
-		}
-		k.handoff = nil
-	}
-}
-
-// dispatch recycles e and performs its action from the root loop: for a
-// resume-proc event, the process's kernel step (Kernel.step) or a switch
-// into the process; for a run-fn event, a call.
-func (k *Kernel) dispatch(e *event) {
-	if p := e.p; p != nil {
+		p, fn := e.p, e.fn
 		k.freeEvent(e)
-		if p.stepNext {
+		if p == nil {
+			fn()
+		} else if p.stepNext {
 			k.step(p)
 		} else {
-			k.switchTo(p)
+			return p
 		}
-		return
 	}
-	fn := e.fn
-	k.freeEvent(e)
-	fn()
 }
 
 // Run executes events in timestamp order until the calendar is empty or the
@@ -309,7 +268,11 @@ func (k *Kernel) RunAll() Time {
 }
 
 // run is the root dispatch loop behind Run and RunAll: it dispatches every
-// event with time <= until in (time, seq) order.
+// event with time <= until in (time, seq) order. It hands the ball to the
+// process that pop returns and, each time the ball holder yields naming the
+// process whose turn came up (see Proc.block), to that one. A ball holder
+// that yields without naming one drained the horizon or returned from its
+// body, and the root loop pops the next event itself.
 func (k *Kernel) run(until Time) {
 	if k.running {
 		panic("sim: Kernel.Run re-entered")
@@ -318,11 +281,18 @@ func (k *Kernel) run(until Time) {
 	k.horizon = until
 	defer func() { k.running = false }()
 	for {
-		e := k.next(until)
-		if e == nil {
-			return
+		p := k.handoff
+		k.handoff = nil
+		if p == nil {
+			if p = k.pop(until); p == nil {
+				return
+			}
 		}
-		k.dispatch(e)
+		if p.done {
+			panic(fmt.Sprintf("sim: resuming finished process %q", p.name))
+		}
+		k.handoffs++
+		p.next()
 	}
 }
 
@@ -357,17 +327,7 @@ func (k *Kernel) Shutdown() {
 		k.procs[len(k.procs)-1].next()
 	}
 	k.killing = false
-	k.ReleaseWorkers()
-}
-
-// ReleaseWorkers dismisses the parked worker pool (resuming a pooled worker
-// with no body to run ends its coroutine). Shutdown calls it; it is exported
-// for callers that never spawn blocking processes but still want to drop
-// the pool between simulations.
-func (k *Kernel) ReleaseWorkers() {
-	if k.running {
-		panic("sim: ReleaseWorkers during Run")
-	}
+	// Resuming a parked worker with no body to run ends its coroutine.
 	for i, w := range k.freeW {
 		w.proc.next()
 		k.freeW[i] = nil

@@ -55,26 +55,23 @@ func requireShutdownClean(t *testing.T, k *Kernel) {
 
 // TestProcPanicSurfacesFromRun: a panic in a process body reaches the
 // caller of Run as a *ProcPanic, the panicking process is retired, and the
-// processes still blocked are killed by Shutdown — pooled or not.
+// processes still blocked are killed by Shutdown.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
-	for _, pooled := range []bool{true, false} {
-		k := NewKernel()
-		k.SetSpawnPooling(pooled)
-		srv := NewServer(k, "cpu", 1)
-		k.Spawn("holder", func(p *Proc) { srv.Use(p, Second) })
-		k.Spawn("queued", func(p *Proc) { srv.Use(p, Second) })
-		k.Spawn("bomb", func(p *Proc) {
-			p.Wait(Millisecond)
-			explode()
-		})
-		k.Spawn("done", func(p *Proc) {}) // leaves a parked worker behind
-		requireProcPanic(t, recoverRun(k, 100*Millisecond), "bomb")
-		// Fatal, not Error: Shutdown would spin on an unretired process.
-		if k.Live() != 2 {
-			t.Fatalf("pooled=%v: Live = %d after the panic, want 2 (holder, queued)", pooled, k.Live())
-		}
-		requireShutdownClean(t, k)
+	k := NewKernel()
+	srv := NewServer(k, "cpu", 1)
+	k.Spawn("holder", func(p *Proc) { srv.Use(p, Second) })
+	k.Spawn("queued", func(p *Proc) { srv.Use(p, Second) })
+	k.Spawn("bomb", func(p *Proc) {
+		p.Wait(Millisecond)
+		explode()
+	})
+	k.Spawn("done", func(p *Proc) {}) // leaves a parked worker behind
+	requireProcPanic(t, recoverRun(k, 100*Millisecond), "bomb")
+	// Fatal, not Error: Shutdown would spin on an unretired process.
+	if k.Live() != 2 {
+		t.Fatalf("Live = %d after the panic, want 2 (holder, queued)", k.Live())
 	}
+	requireShutdownClean(t, k)
 }
 
 // TestInlineFnPanicSurfacesFromRun: an event function that panics while a
@@ -96,12 +93,13 @@ func TestInlineFnPanicSurfacesFromRun(t *testing.T) {
 }
 
 // TestRootFnPanicSurfacesFromRun: an event function dispatched by the root
-// loop (here because the fast path is off) panics with its own value,
-// unwrapped.
+// loop panics with its own value, unwrapped. The sleeper hands the ball to
+// the second process, whose body returns at once, so the root loop
+// dispatches explode itself.
 func TestRootFnPanicSurfacesFromRun(t *testing.T) {
 	k := NewKernel()
-	k.SetInlineDispatch(false)
 	k.Spawn("sleeper", func(p *Proc) { p.Wait(Second) })
+	k.Spawn("done", func(p *Proc) {})
 	k.At(Millisecond, explode)
 	if r := recoverRun(k, 100*Millisecond); r != errBoom {
 		t.Fatalf("Run panicked with %v, want errBoom", r)

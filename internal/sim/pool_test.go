@@ -7,26 +7,16 @@ import (
 	"time"
 )
 
-// modelTrace is the reference workload for process-model equivalence: a
-// randomized mix of spawned workers (timed holds on a contended server,
-// mailbox puts, a fire-and-forget control process each) plus a mailbox
-// consumer, run with Spawn reusing parked worker coroutines (pooled) or
-// starting one coroutine per process. Both must produce the identical
-// (time, value) trace.
-func modelTrace(seed int64, pooled bool) []Time {
-	out, _ := modelRun(seed, pooled)
-	return out
-}
-
-// modelRun is modelTrace also returning the kernel's counters after the run.
-func modelRun(seed int64, pooled bool) ([]Time, KernelStats) {
+// modelRun runs a randomized mix of spawned workers (timed holds on a
+// contended server, mailbox puts, a fire-and-forget control process each)
+// plus a mailbox consumer, and returns the kernel's counters after the run
+// (pinned by TestKernelCountersPinned).
+func modelRun(seed int64) KernelStats {
 	k := NewKernel()
-	k.SetSpawnPooling(pooled)
 	srv := NewServer(k, "cpu", 2)
 	ctl := NewServer(k, "ctl", 1)
 	mail := NewChan[int](k, "mail")
 	rng := rand.New(rand.NewSource(seed))
-	var out []Time
 
 	const workers = 40
 	for i := 0; i < workers; i++ {
@@ -34,22 +24,15 @@ func modelRun(seed int64, pooled bool) ([]Time, KernelStats) {
 		start := Duration(rng.Intn(4000)) * Microsecond
 		k.SpawnAt(start, "w", func(p *Proc) {
 			srv.Use(p, d)
-			out = append(out, p.Now())
 			mail.Put(i)
-			// Fire-and-forget control message: charge the control server,
-			// then record.
-			k.Spawn("ctl", func(cp *Proc) {
-				ctl.Use(cp, d/3)
-				out = append(out, cp.Now())
-			})
+			// Fire-and-forget control message: charge the control server.
+			k.Spawn("ctl", func(cp *Proc) { ctl.Use(cp, d/3) })
 			p.Wait(d / 2)
-			out = append(out, p.Now())
 		})
 	}
 	k.Spawn("reader", func(p *Proc) {
 		for got := 0; got < workers; got++ {
-			v, _ := mail.Get(p)
-			out = append(out, p.Now()+Time(v))
+			mail.Get(p)
 		}
 	})
 	// Run in horizon slices so the drain-to-horizon handoff is exercised.
@@ -57,27 +40,7 @@ func modelRun(seed int64, pooled bool) ([]Time, KernelStats) {
 		k.Run(h)
 	}
 	k.Shutdown()
-	return out, k.Stats()
-}
-
-func requireSameTrace(t *testing.T, name string, seed int64, got, want []Time) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s seed %d: trace lengths differ: %d vs %d", name, seed, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s seed %d: traces diverge at %d: %v vs %v", name, seed, i, got[i], want[i])
-		}
-	}
-}
-
-// TestProcessModelEquivalence pins the pooling contract: pooled spawns
-// produce bit-identical traces to one coroutine per process.
-func TestProcessModelEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		requireSameTrace(t, "pooled", seed, modelTrace(seed, true), modelTrace(seed, false))
-	}
+	return k.Stats()
 }
 
 // TestSpawnPoolReuse verifies the pool actually engages: sequential

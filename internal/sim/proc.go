@@ -13,9 +13,9 @@ import (
 // runs at any instant.
 //
 // Suspension does not necessarily suspend the coroutine: with the
-// continuation fast path (Kernel.SetInlineDispatch, on by default) a
-// blocking process keeps dispatching events in its own context — run-fn
-// events execute inline and its own resume event simply returns control.
+// continuation fast path a blocking process keeps dispatching events in its
+// own context — run-fn events execute inline and its own resume event
+// simply returns control.
 // Only another process's resume costs a switch: the process yields to the
 // root Run loop, which resumes the other one. An uncontended timed hold —
 // Wait after an immediate Acquire, Server.Use on a free station — therefore
@@ -24,12 +24,11 @@ import (
 // their process only once, at the end: the kernel starts a queued hold at
 // its grant and moves the process between stations itself.
 //
-// Coroutines are pooled (Kernel.SetSpawnPooling, on by default): a process
-// that returns parks its worker coroutine on the kernel's free list instead
-// of ending it, and the next Spawn reuses it — identity fields (ID, Name,
-// Arg) are reset on reuse, so spawning is allocation-free in steady state
-// and the coroutine count is bounded by the peak number of live processes,
-// not by the total number ever spawned.
+// Coroutines are pooled: a process that returns parks its worker coroutine
+// on the kernel's free list instead of ending it, and the next Spawn reuses
+// it — identity fields (ID, Name, Arg) are reset on reuse, so spawning is
+// allocation-free in steady state and the coroutine count is bounded by the
+// peak number of live processes, not by the total number ever spawned.
 type Proc struct {
 	k       *Kernel
 	id      int64
@@ -110,7 +109,7 @@ func runBody(p *Proc, fn func(*Proc)) (killed bool) {
 // newWorker starts a pooled worker coroutine. The loop runs one process
 // body per spawn: a finishing body parks the worker on the kernel free list
 // and yields to the root loop; resumed with a nil fn, the worker is being
-// dismissed (ReleaseWorkers adjusts the counters).
+// dismissed (Shutdown adjusts the counters).
 func (k *Kernel) newWorker() *worker {
 	w := &worker{}
 	w.proc.k = k
@@ -140,22 +139,6 @@ func (k *Kernel) newWorker() *worker {
 		}
 	})
 	return w
-}
-
-// newUnpooled starts the coroutine of a non-pooled process
-// (SetSpawnPooling(false)): one spawn, one coroutine, ended on return.
-func (k *Kernel) newUnpooled(fn func(*Proc)) *Proc {
-	p := &Proc{k: k}
-	k.goroutines++
-	p.next = pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		if !k.killing {
-			runBody(p, fn)
-		}
-		k.finishProc(p)
-		k.goroutines--
-	})
-	return p
 }
 
 // finishProc retires a returning (or killed) process: marks it done and
@@ -192,23 +175,18 @@ func (k *Kernel) SpawnArg(name string, arg int64, fn func(p *Proc)) *Proc {
 
 func (k *Kernel) spawn(t Time, name string, arg int64, fn func(p *Proc)) *Proc {
 	k.procSeq++
-	var p *Proc
-	if k.pooling {
-		var w *worker
-		if n := len(k.freeW); n > 0 {
-			w = k.freeW[n-1]
-			k.freeW[n-1] = nil
-			k.freeW = k.freeW[:n-1]
-			k.spawnReuses++
-		} else {
-			w = k.newWorker()
-		}
-		w.fn = fn
-		p = &w.proc
-		p.done = false
+	var w *worker
+	if n := len(k.freeW); n > 0 {
+		w = k.freeW[n-1]
+		k.freeW[n-1] = nil
+		k.freeW = k.freeW[:n-1]
+		k.spawnReuses++
 	} else {
-		p = k.newUnpooled(fn)
+		w = k.newWorker()
 	}
+	w.fn = fn
+	p := &w.proc
+	p.done = false
 	p.id = k.procSeq
 	p.name = name
 	p.arg = arg
@@ -223,58 +201,25 @@ func (k *Kernel) spawn(t Time, name string, arg int64, fn func(p *Proc)) *Proc {
 // — is dispatched. The caller must already have arranged for that event (or
 // for an eventual unpark).
 //
-// Fast path: the blocking process becomes the dispatcher. It pops events in
-// exactly the (time, seq) order the root loop would, runs fn events inline,
-// and returns the moment its own resume event comes up — no switch at all.
-// A resume event for another process is named in Kernel.handoff and the
-// process yields; the root loop resumes the named process. A resume event
-// that starts a queued hold or moves a route on (its own included) goes to
-// Kernel.step and resumes no one. Draining the horizon yields with no
-// process named, and the root Run loop returns to its caller. Because the
-// fast path dispatches the identical event sequence the root loop would
-// have dispatched on a suspended process's behalf, simulation results are
-// bit-identical with the fast path on or off.
+// Continuation fast path: the blocking process becomes the dispatcher. It
+// pops events through Kernel.pop, exactly as the root loop would, and
+// returns the moment its own resume event comes up — no switch at all.
+// When pop returns another process, block names it in Kernel.handoff and
+// yields; the root loop resumes the named process. When pop drains the
+// horizon, block yields with no process named, and the root Run loop
+// returns to its caller; a later Run dispatches the resume event.
 func (p *Proc) block() {
 	k := p.k
-	if k.inline {
-		for {
-			e := k.next(k.horizon)
-			if e == nil {
-				// Nothing left at or before the horizon: Run returns, and
-				// a later Run dispatches our resume event.
-				break
-			}
-			if q := e.p; q != nil {
-				k.freeEvent(e)
-				if q.stepNext {
-					k.step(q)
-					continue
-				}
-				if q == p {
-					// Our own wake: continue in-context, no switch at all.
-					k.inlineWakes++
-					return
-				}
-				// Another process's turn: name it for the root loop.
-				k.handoff = q
-				break
-			}
-			fn := e.fn
-			k.freeEvent(e)
-			fn()
-		}
+	q := k.pop(k.horizon)
+	if q == p {
+		k.inlineWakes++
+		return
 	}
+	k.handoff = q
 	p.yield(struct{}{})
 	if k.killing {
 		panic(killSentinel{})
 	}
-}
-
-// unpark schedules p to resume at the current simulated time, bypassing the
-// calendar through the kernel's same-instant FIFO. It must be called from
-// kernel context (an event function or another process's turn).
-func (p *Proc) unpark() {
-	p.k.atProc(p.k.now, p)
 }
 
 // Park suspends the calling process until another component calls Unpark.
@@ -288,9 +233,11 @@ func (p *Proc) Park() {
 }
 
 // Unpark schedules a process parked via Park to resume at the current
-// simulated time. Calling it for a process that is not parked is a bug the
+// simulated time, bypassing the calendar through the kernel's same-instant
+// FIFO. It must be called from kernel context (an event function or another
+// process's turn). Calling it for a process that is not parked is a bug the
 // kernel will surface as a double-resume panic.
-func (p *Proc) Unpark() { p.unpark() }
+func (p *Proc) Unpark() { p.k.atProc(p.k.now, p) }
 
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }

@@ -40,9 +40,8 @@ type stationResult struct {
 // zero-length; slowdowns interleaves SetSlowdown events (factors 1, 1.5, 2
 // and 3). Every mode draws the same random numbers, so two modes that
 // dispatch the same event sequence observe the same trace.
-func stationTrace(seed int64, mode visitMode, inline, zeros, slowdowns bool) stationResult {
+func stationTrace(seed int64, mode visitMode, zeros, slowdowns bool) stationResult {
 	k := NewKernel()
-	k.SetInlineDispatch(inline)
 	srv := []*Server{NewServer(k, "a", 1), NewServer(k, "b", 2), NewServer(k, "c", 1)}
 	factor := map[*Server]float64{}
 	ends := map[Time]bool{}
@@ -155,22 +154,19 @@ func requireSameStations(t *testing.T, name string, got, want stationResult) {
 // TestUseMatchesAcquireWaitRelease: Server.Use, whose queued request is
 // granted and starts its hold in kernel context, dispatches the event
 // sequence of Acquire, Wait, Release — with zero-length visits and
-// slowdown changes, under the fast path and parked dispatch — and switches
-// into processes less often.
+// slowdown changes — and switches into processes less often.
 func TestUseMatchesAcquireWaitRelease(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		for _, inline := range []bool{true, false} {
-			want := stationTrace(seed, bracketVisits, inline, true, true)
-			got := stationTrace(seed, useVisits, inline, true, true)
-			requireSameStations(t, "Use", got, want)
-			if got.stats.Handoffs >= want.stats.Handoffs {
-				t.Errorf("seed %d inline=%v: Use switched %d times, Acquire/Wait/Release %d",
-					seed, inline, got.stats.Handoffs, want.stats.Handoffs)
-			}
-			for i, st := range want.stations {
-				if st[1] == 0 {
-					t.Errorf("seed %d: station %d never queued a request", seed, i)
-				}
+		want := stationTrace(seed, bracketVisits, true, true)
+		got := stationTrace(seed, useVisits, true, true)
+		requireSameStations(t, "Use", got, want)
+		if got.stats.Handoffs >= want.stats.Handoffs {
+			t.Errorf("seed %d: Use switched %d times, Acquire/Wait/Release %d",
+				seed, got.stats.Handoffs, want.stats.Handoffs)
+		}
+		for i, st := range want.stations {
+			if st[1] == 0 {
+				t.Errorf("seed %d: station %d never queued a request", seed, i)
 			}
 		}
 	}
@@ -184,21 +180,19 @@ func TestUseMatchesAcquireWaitRelease(t *testing.T) {
 func TestRouteMatchesSequentialUses(t *testing.T) {
 	ties := 0
 	for seed := int64(1); seed <= 5; seed++ {
-		bracket := stationTrace(seed, bracketVisits, true, true, true)
+		bracket := stationTrace(seed, bracketVisits, true, true)
 		ties += bracket.tieSlowdowns
-		for _, inline := range []bool{true, false} {
-			uses := stationTrace(seed, useVisits, inline, true, true)
-			got := stationTrace(seed, routeVisits, inline, true, true)
-			requireSameStations(t, "route vs Use", got, uses)
-			requireSameStations(t, "route vs Acquire/Wait/Release", got, bracket)
-			if got.stats.Handoffs >= uses.stats.Handoffs {
-				t.Errorf("seed %d inline=%v: route switched %d times, consecutive Use calls %d",
-					seed, inline, got.stats.Handoffs, uses.stats.Handoffs)
-			}
+		uses := stationTrace(seed, useVisits, true, true)
+		got := stationTrace(seed, routeVisits, true, true)
+		requireSameStations(t, "route vs Use", got, uses)
+		requireSameStations(t, "route vs Acquire/Wait/Release", got, bracket)
+		if got.stats.Handoffs >= uses.stats.Handoffs {
+			t.Errorf("seed %d: route switched %d times, consecutive Use calls %d",
+				seed, got.stats.Handoffs, uses.stats.Handoffs)
 		}
 		// Without zero-length visits every route runs in kernel context.
-		uses := stationTrace(seed, useVisits, true, false, true)
-		got := stationTrace(seed, routeVisits, true, false, true)
+		uses = stationTrace(seed, useVisits, false, true)
+		got = stationTrace(seed, routeVisits, false, true)
 		requireSameStations(t, "route vs Use, no zero stage", got, uses)
 	}
 	if ties == 0 {

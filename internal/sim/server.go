@@ -120,7 +120,7 @@ func (s *Server) Release() {
 	// Wake the waiter holding the server (busy is unchanged — the server
 	// passed hand to hand): its Acquire returns, or the kernel starts its
 	// hold (see Kernel.step).
-	p.unpark()
+	p.Unpark()
 }
 
 // Use occupies one server for service time d, stretched by the station's

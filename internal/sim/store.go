@@ -11,17 +11,15 @@ type Store struct {
 	name  string
 	cap   int
 	level int
-	q     []*storeWaiter
-	free  []*storeWaiter // recycled waiters; Get/Put are alloc-free in steady state
+	q     []storeWaiter // FCFS requests
 
 	lastT   Time
 	usedInt float64
 }
 
 type storeWaiter struct {
-	p       *Proc
-	n       int
-	arrived Time
+	p *Proc
+	n int
 }
 
 // NewStore creates a store with the given capacity, initially full.
@@ -61,15 +59,7 @@ func (st *Store) Get(p *Proc, n int) {
 		st.level -= n
 		return
 	}
-	var w *storeWaiter
-	if len(st.free) > 0 {
-		w = st.free[len(st.free)-1]
-		st.free = st.free[:len(st.free)-1]
-	} else {
-		w = &storeWaiter{}
-	}
-	w.p, w.n, w.arrived = p, n, st.k.Now()
-	st.q = append(st.q, w)
+	st.q = append(st.q, storeWaiter{p, n})
 	st.k.blocked++
 	p.block()
 	st.k.blocked--
@@ -92,12 +82,10 @@ func (st *Store) drain() {
 	for len(st.q) > 0 && st.level >= st.q[0].n {
 		w := st.q[0]
 		copy(st.q, st.q[1:])
-		st.q[len(st.q)-1] = nil
+		st.q[len(st.q)-1] = storeWaiter{}
 		st.q = st.q[:len(st.q)-1]
 		st.level -= w.n
-		w.p.unpark()
-		w.p = nil
-		st.free = append(st.free, w)
+		w.p.Unpark()
 	}
 }
 
