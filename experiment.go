@@ -299,10 +299,10 @@ func (e *Experiment) Run(ctx context.Context) ([]Row, error) {
 	return out, nil
 }
 
-// Plan validates the experiment and compiles it into its executable
-// schedule: the physical simulation jobs (every sweep point expanded
-// through the replication/comparison stages) plus the slot and row
-// bookkeeping folding job outcomes back into Rows. Run drives a Plan
+// Plan validates the experiment, every job's Config included, and compiles
+// it into its executable schedule: the physical simulation jobs (every sweep
+// point expanded through the replication/comparison stages) plus the slot
+// and row bookkeeping folding job outcomes back into Rows. Run drives a Plan
 // through Plan.Execute, which runs one job per call of a pluggable runner
 // (Plan.RunJob in process, a remote fleet's per-job runner behind
 // WithDistributed):
@@ -333,6 +333,13 @@ func (e *Experiment) Plan() (*Plan, error) {
 	jobs, slots, rows, err := e.expand(seed)
 	if err != nil {
 		return nil, err
+	}
+	// An invalid config fails here, before any row is emitted or any
+	// simulation runs, and not when its job comes up.
+	for i := range jobs {
+		if err := jobs[i].cfg.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	p := &Plan{
 		exp:      e,

@@ -258,18 +258,20 @@ func TestWithRunsAttachesRawResults(t *testing.T) {
 	}
 }
 
-// TestExperimentJobError: a job that fails aborts the sweep with its
-// error, leaving no goroutine behind — an invalid point config (reached
-// through an axis, a replicated sweep or a compared sweep) with the
-// engine's error, and a strategy whose Decide panics with that panic.
+// TestExperimentJobError: an experiment that cannot run fails with its
+// error, leaving no goroutine behind. An invalid point config (reached
+// through an axis, a replicated sweep or a compared sweep) fails at Plan,
+// before any job runs, with the config's error; a strategy whose Decide
+// panics passes Plan and aborts the sweep at its job with that panic.
 func TestExperimentJobError(t *testing.T) {
 	bad := tinySweepCfg()
 	bad.NPE = 0
 	a, b := MustStrategy("psu-opt+RANDOM"), MustStrategy("MIN-IO")
 	cases := []struct {
-		name string
-		e    *Experiment
-		want error // nil: any error
+		name   string
+		e      *Experiment
+		atPlan bool  // Plan itself fails
+		want   error // nil: any error
 	}{
 		{"invalid axis point", NewExperiment(Sweep{
 			Base:       tinySweepCfg(),
@@ -277,15 +279,18 @@ func TestExperimentJobError(t *testing.T) {
 			Axes: []Axis{
 				IntAxis("#PE", func(c *Config, n int) { c.NPE = n }, 0), // invalid
 			},
-		}), nil},
+		}), true, nil},
 		{"invalid replicated config", NewExperiment(Sweep{Base: bad, Strategies: []Strategy{b}},
-			WithSeeds(1, 2)), nil},
+			WithSeeds(1, 2)), true, nil},
 		{"invalid compared config", NewExperiment(Sweep{Base: bad},
-			WithCompare(a, b), WithSeeds(1)), nil},
+			WithCompare(a, b), WithSeeds(1)), true, nil},
 		{"panicking strategy", NewExperiment(Sweep{Base: tinySweepCfg(), Strategies: []Strategy{panicky{}}}),
-			errDecide},
+			false, errDecide},
 	}
 	for _, tc := range cases {
+		if _, err := tc.e.Plan(); (err != nil) != tc.atPlan {
+			t.Errorf("%s: Plan error %v, want failure at Plan %v", tc.name, err, tc.atPlan)
+		}
 		before := runtime.NumGoroutine()
 		rows, err := tc.e.Run(context.Background())
 		if err == nil {

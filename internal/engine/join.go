@@ -112,7 +112,7 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) bool {
 		q.aPEs = s.faults.liveHosts(q.aPEs)
 		q.bPEs = s.faults.liveHosts(q.bPEs)
 	}
-	q.coordMail = sim.NewChan[cmsg](s.k, fmt.Sprintf("q%d/coord", q.id))
+	q.coordMail = sim.NewChan[cmsg](s.k, "join-coord")
 	// failed reports whether any participant of the attempt — the
 	// coordinator, a join process host, or a scan host — has failed since
 	// the attempt started.
@@ -156,17 +156,17 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) bool {
 	q.joinMail = make([]*sim.Chan[jmsg], deg)
 	q.initWeights(deg)
 	for i := 0; i < deg; i++ {
-		q.joinMail[i] = sim.NewChan[jmsg](s.k, fmt.Sprintf("q%d/join%d", q.id, i))
+		q.joinMail[i] = sim.NewChan[jmsg](s.k, "join-proc")
 		jpe := s.pe(q.dec.JoinPEs[i])
 		s.sendCtl(p, coordPE, jpe.id, func() {
-			s.k.Spawn(fmt.Sprintf("q%d/joinproc%d", q.id, i), func(jp *sim.Proc) {
+			s.k.Spawn("join-proc", func(jp *sim.Proc) {
 				s.runJoinProc(jp, q, jpe, i)
 			})
 		})
 	}
 	for i, ape := range q.aPEs {
 		s.sendCtl(p, coordPE, ape, func() {
-			s.k.Spawn(fmt.Sprintf("q%d/scanA%d", q.id, i), func(sp *sim.Proc) {
+			s.k.Spawn("join-scan-A", func(sp *sim.Proc) {
 				s.runScan(sp, q, s.pe(ape), true, i)
 			})
 		})
@@ -188,7 +188,7 @@ func (s *System) joinAttempt(p *sim.Proc, coordPE int, arrival sim.Time) bool {
 	// Probing phase: start the B scans.
 	for i, bpe := range q.bPEs {
 		s.sendCtl(p, coordPE, bpe, func() {
-			s.k.Spawn(fmt.Sprintf("q%d/scanB%d", q.id, i), func(sp *sim.Proc) {
+			s.k.Spawn("join-scan-B", func(sp *sim.Proc) {
 				s.runScan(sp, q, s.pe(bpe), false, i)
 			})
 		})
@@ -282,7 +282,7 @@ func (s *System) runScan(p *sim.Proc, q *joinQuery, pe *PE, inner bool, fragIdx 
 	s.recvCtlCPU(p, pe.id) // start message
 	c := &s.cfg
 
-	space := pe.buf.NewSpace(fmt.Sprintf("q%d/scan%d", q.id, pe.id), bufferQueryPriority, 0)
+	space := pe.buf.NewSpace("join-scan", bufferQueryPriority, 0)
 	space.AcquireBestEffort(p, scanSpacePages(c.BufferPages))
 	space.SetStealHandler(func(need int) int {
 		// Scan buffers shrink to one page under memory pressure.
@@ -475,7 +475,7 @@ func (s *System) runJoinProc(p *sim.Proc, q *joinQuery, pe *PE, idx int) {
 		desired = minPages
 	}
 
-	space := pe.buf.NewSpace(fmt.Sprintf("q%d/j%d", q.id, idx), bufferQueryPriority, minPages)
+	space := pe.buf.NewSpace("join-proc", bufferQueryPriority, minPages)
 	waitStart := s.k.Now()
 	got := space.Acquire(p, desired)
 	if s.measuring {

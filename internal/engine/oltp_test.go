@@ -105,10 +105,9 @@ func TestOLTPTransactionAllocs(t *testing.T) {
 			s.k.Run(horizon)
 		}
 	}
-	// Warm-up: free lists, maps and the hot set fill, and the sparse
-	// event stream touches every calendar bucket (each allocates its
-	// backing array once) — about 10,000 transactions.
-	for i := 0; i < 500; i++ {
+	// Warm-up: free lists, maps, the calendar and the hot set fill, in
+	// about 1,000 transactions.
+	for i := 0; i < 50; i++ {
 		runBatch()
 	}
 	perTxn := testing.AllocsPerRun(50, runBatch) / batch

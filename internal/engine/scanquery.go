@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"dynlb/internal/buffer"
 	"dynlb/internal/config"
 	"dynlb/internal/lock"
@@ -50,10 +48,10 @@ func (s *System) scanQueryAttempt(p *sim.Proc, coordPE int, class config.ScanCla
 		homes = s.faults.liveHosts(homes)
 	}
 
-	mail := sim.NewChan[cmsg](s.k, fmt.Sprintf("sq%d/coord", qid))
+	mail := sim.NewChan[cmsg](s.k, "scanq-coord")
 	for i, home := range homes {
 		s.sendCtl(p, coordPE, home, func() {
-			s.k.Spawn(fmt.Sprintf("sq%d/scan%d", qid, i), func(sp *sim.Proc) {
+			s.k.Spawn("scanq-scan", func(sp *sim.Proc) {
 				s.runScanFragment(sp, scanFragment{
 					qid: qid, txn: txn, class: class,
 					relSpace: relSpace, total: total,

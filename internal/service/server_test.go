@@ -311,6 +311,8 @@ func TestServerBadRequest(t *testing.T) {
 		`{}`,
 		`{"figure": "nope"}`,
 		`{"figure": "6", "scael": "quick"}`,
+		`{"sweep":{"base":{"NPE":0},"strategies":["OPT-IO-CPU"]}}`,
+		`{"figure":"1c","scale":"quick","faults":"crash(pe=99,at=1s)"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -11,8 +11,8 @@ import "testing"
 // and will show up as runtime.mallocgc in sweep profiles.
 
 // measureSteadyAllocs reports the average allocations of advancing the
-// kernel by `step` per call after a warm-up that populates the event pool,
-// free lists and goroutine stacks.
+// kernel by `step` per call after a warm-up of 10 steps, which grows the
+// calendar and the free lists to their peak and starts every coroutine.
 func measureSteadyAllocs(t *testing.T, k *Kernel, step Duration) float64 {
 	t.Helper()
 	horizon := k.Now()
@@ -20,14 +20,7 @@ func measureSteadyAllocs(t *testing.T, k *Kernel, step Duration) float64 {
 		horizon += step
 		k.Run(horizon)
 	}
-	// Warm-up must cover several full calendar-wheel revolutions
-	// (calBuckets << calShift ≈ 33.6 ms each): every bucket allocates its
-	// backing array on first touch, and because event alignment against
-	// the 4.1 µs bucket grid shifts between revolutions, a bucket may not
-	// see its peak occupancy — and final capacity — until a few passes
-	// in. Pools, free lists and goroutine stacks fill on the way.
-	warm := horizon + 5*(Time(calBuckets)<<calShift) + step
-	for horizon < warm {
+	for i := 0; i < 10; i++ {
 		advance()
 	}
 	return testing.AllocsPerRun(100, advance)
@@ -43,14 +36,6 @@ func requireZeroAllocs(t *testing.T, name string, avg float64) {
 func TestHotPathZeroAllocs(t *testing.T) {
 	t.Run("eventDispatch", func(t *testing.T) {
 		k := NewKernel()
-		// Hold model with fixed 640 ns spacing: every 4.1 µs wheel bucket
-		// holds 6-7 events at any grid alignment, so each bucket's first
-		// fill grows its array to the power-of-two capacity (8) that also
-		// covers the worst alignment — capacities saturate in one
-		// revolution. (A sparser lattice leaves some buckets one growth
-		// step short, and as alignment drifts between revolutions those
-		// buckets keep reallocating — a property of the workload shape,
-		// not an event-path allocation.)
 		const population = 64
 		const spacing = 640 * Nanosecond
 		var fire func()

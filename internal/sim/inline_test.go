@@ -70,37 +70,3 @@ func TestInlineWaitNoSwitch(t *testing.T) {
 		t.Errorf("Dispatched = %d, want %d", s.Dispatched, waits+1)
 	}
 }
-
-// TestKernelStatsCalendar verifies the calendar-queue observability
-// counters: events beyond the wheel horizon land in the overflow heap and
-// migrate back as the cursor advances.
-func TestKernelStatsCalendar(t *testing.T) {
-	k := NewKernel()
-	const horizon = Time(calBuckets) << calShift // wheel span from time 0
-	// Half inside the wheel, half far beyond it.
-	for i := 0; i < 8; i++ {
-		k.At(Time(i+1)*Millisecond, func() {})
-		k.At(horizon+Time(i+1)*Millisecond, func() {})
-	}
-	s := k.Stats()
-	if s.OverflowPushes != 8 || s.OverflowLen != 8 {
-		t.Errorf("overflow pushes/len = %d/%d, want 8/8", s.OverflowPushes, s.OverflowLen)
-	}
-	if s.OverflowPeak != 8 {
-		t.Errorf("OverflowPeak = %d, want 8", s.OverflowPeak)
-	}
-	if s.WheelLen != 8 {
-		t.Errorf("WheelLen = %d, want 8", s.WheelLen)
-	}
-	k.RunAll()
-	s = k.Stats()
-	if s.Migrations != 8 {
-		t.Errorf("Migrations = %d, want 8", s.Migrations)
-	}
-	if s.OverflowLen != 0 || s.WheelLen != 0 {
-		t.Errorf("residual events: overflow %d wheel %d", s.OverflowLen, s.WheelLen)
-	}
-	if s.Dispatched != 16 {
-		t.Errorf("Dispatched = %d, want 16", s.Dispatched)
-	}
-}

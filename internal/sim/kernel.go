@@ -5,8 +5,8 @@ import "fmt"
 // event is a calendar entry: at time t, resume process p (the hot path:
 // Wait wake-ups, unparks) or run fn in kernel context (the general path:
 // At/After). Exactly one of p and fn is set. fn must never block; blocking
-// work belongs in processes. Events are pooled by the kernel, so neither
-// payload allocates in steady state.
+// work belongs in processes. The calendar and the same-instant FIFO hold
+// events by value, so scheduling one allocates nothing in steady state.
 type event struct {
 	t   Time
 	seq int64
@@ -22,12 +22,12 @@ const maxTime = Time(1<<63 - 1)
 // single goroutine (the one that calls Run); processes are coroutines the
 // kernel resumes from that goroutine and never run concurrently with it.
 //
-// Scheduling structure: events in the future live in the calendar queue
-// (calQueue, O(1) amortized); events at the current instant — unparks and
-// mailbox wake-ups — bypass it through the nowQ FIFO. The global order is
-// still exactly (time, seq): nowQ entries carry sequence numbers and the
-// dispatch loop lets same-time calendar events with lower sequence numbers
-// (scheduled earlier, from a past instant) fire first.
+// Scheduling structure: events in the future live in the calendar, a
+// binary min-heap of event values (calQueue); events at the current
+// instant — unparks and mailbox wake-ups — bypass it through the nowQ FIFO.
+// The global order is still exactly (time, seq): a same-time calendar event
+// was scheduled earlier, from a past instant, so it has a lower sequence
+// number than every nowQ entry and fires first.
 //
 // Dispatch is cooperative ("the ball"): exactly one context at a time — the
 // root Run loop or one process — pops and dispatches events, through one
@@ -40,9 +40,8 @@ type Kernel struct {
 	now     Time
 	seq     int64
 	cq      calQueue
-	nowQ    []*event
+	nowQ    []event
 	nowHead int
-	pool    []*event
 	handoff *Proc // process a yielding ball holder named; the root loop resumes it next
 	running bool
 	killing bool // Shutdown in progress: resumes unwind via the kill sentinel
@@ -75,16 +74,14 @@ func (k *Kernel) Live() int { return len(k.procs) }
 func (k *Kernel) Blocked() int { return k.blocked }
 
 // KernelStats is a snapshot of scheduling counters: how events are being
-// dispatched, what the process model is costing, and how the calendar queue
-// is coping with the workload's event horizon.
+// dispatched and what the process model is costing.
 //
 // Spawns/SpawnReuses/LiveGoroutines characterize the process pool: in steady
 // state SpawnReuses tracks Spawns (every spawn reuses a parked worker) and
 // LiveGoroutines stays O(peak live processes) — not O(total spawned).
 // LightSpawns is always 0, since every simulated activity is a spawned
-// process; perfbench still reads it. OverflowLen/OverflowPeak/
-// OverflowPushes/Migrations count the events that lie beyond the fixed
-// wheel horizon (see calQueue).
+// process, and OverflowPushes is always 0, since the calendar is one heap
+// with no overflow tier; perfbench still reads both.
 //
 // InlineWakes and Handoffs count the resume events that resume a process:
 // InlineWakes those that a blocked process pops for itself, Handoffs those
@@ -100,12 +97,7 @@ type KernelStats struct {
 	SpawnReuses    int64 // spawns served by a parked pooled worker (no coroutine birth)
 	LiveGoroutines int   // process coroutines alive: parked in the pool, running, or blocked
 	LightSpawns    int64 // always 0: every activity is a spawned process
-
-	WheelLen       int   // events currently in the calendar wheel
-	OverflowLen    int   // events currently in the overflow heap
-	OverflowPeak   int   // high-water overflow-heap residency
-	OverflowPushes int64 // enqueues that landed beyond the wheel horizon
-	Migrations     int64 // events migrated overflow → wheel as the cursor advanced
+	OverflowPushes int64 // always 0: the calendar has no overflow tier
 }
 
 // Stats returns the kernel's scheduling counters.
@@ -117,44 +109,23 @@ func (k *Kernel) Stats() KernelStats {
 		Spawns:         k.procSeq,
 		SpawnReuses:    k.spawnReuses,
 		LiveGoroutines: k.goroutines,
-		WheelLen:       k.cq.wheelN,
-		OverflowLen:    len(k.cq.overflow),
-		OverflowPeak:   k.cq.overflowPeak,
-		OverflowPushes: k.cq.overflowPushes,
-		Migrations:     k.cq.migrations,
 	}
 }
 
-// newEvent returns a pooled event stamped with the next sequence number.
-func (k *Kernel) newEvent(t Time) *event {
-	var e *event
-	if n := len(k.pool); n > 0 {
-		e = k.pool[n-1]
-		k.pool[n-1] = nil
-		k.pool = k.pool[:n-1]
-	} else {
-		e = &event{}
+// schedule stamps an event at t with the next sequence number and files it
+// under the (time, seq) order: a same-instant event goes to the nowQ FIFO,
+// a future one to the calendar. It panics if t is in the simulated past.
+func (k *Kernel) schedule(t Time, fn func(), p *Proc) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, k.now))
 	}
 	k.seq++
-	e.t = t
-	e.seq = k.seq
-	return e
-}
-
-func (k *Kernel) freeEvent(e *event) {
-	e.fn = nil
-	e.p = nil
-	k.pool = append(k.pool, e)
-}
-
-// schedule files e under the (time, seq) order: same-instant events go to
-// the nowQ FIFO, future events to the calendar queue.
-func (k *Kernel) schedule(e *event) {
-	if e.t == k.now {
+	e := event{t: t, seq: k.seq, fn: fn, p: p}
+	if t == k.now {
 		k.nowQ = append(k.nowQ, e)
 		return
 	}
-	k.cq.enqueue(e)
+	k.cq.push(e)
 }
 
 // At schedules fn to run in kernel context at absolute time t.
@@ -165,24 +136,10 @@ func (k *Kernel) schedule(e *event) {
 // surfaces from Run on the caller's goroutine either way; when fn ran in a
 // process's context it arrives wrapped in a *ProcPanic naming that process.
 // After such a panic the kernel may only be shut down.
-func (k *Kernel) At(t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, k.now))
-	}
-	e := k.newEvent(t)
-	e.fn = fn
-	k.schedule(e)
-}
+func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn, nil) }
 
 // atProc schedules p to be resumed at absolute time t (closure-free).
-func (k *Kernel) atProc(t Time, p *Proc) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, k.now))
-	}
-	e := k.newEvent(t)
-	e.p = p
-	k.schedule(e)
-}
+func (k *Kernel) atProc(t Time, p *Proc) { k.schedule(t, nil, p) }
 
 // After schedules fn to run in kernel context d from now.
 func (k *Kernel) After(d Duration, fn func()) {
@@ -193,35 +150,33 @@ func (k *Kernel) After(d Duration, fn func()) {
 }
 
 // next extracts the next event in (time, seq) order with time <= until,
-// advancing the clock; it returns nil when no such event exists.
-func (k *Kernel) next(until Time) *event {
+// advancing the clock; ok is false when no such event exists.
+func (k *Kernel) next(until Time) (e event, ok bool) {
 	if k.nowHead < len(k.nowQ) {
 		if k.now > until {
-			return nil
+			return event{}, false
 		}
 		// A same-time calendar event was necessarily scheduled from an
 		// earlier instant, so its sequence number is lower than every
 		// nowQ entry's: it goes first.
-		if t, ok := k.cq.peekTime(); ok && t == k.now {
-			k.dispatched++
-			return k.cq.pop(k.now)
+		if len(k.cq) > 0 && k.cq[0].t == k.now {
+			return k.cq.pop(), true
 		}
-		e := k.nowQ[k.nowHead]
-		k.nowQ[k.nowHead] = nil
+		e = k.nowQ[k.nowHead]
+		k.nowQ[k.nowHead] = event{}
 		k.nowHead++
 		if k.nowHead == len(k.nowQ) {
 			k.nowQ = k.nowQ[:0]
 			k.nowHead = 0
 		}
-		k.dispatched++
-		return e
+		return e, true
 	}
-	e := k.cq.pop(until)
-	if e != nil {
-		k.now = e.t
-		k.dispatched++
+	if len(k.cq) == 0 || k.cq[0].t > until {
+		return event{}, false
 	}
-	return e
+	e = k.cq.pop()
+	k.now = e.t
+	return e, true
 }
 
 // pop dispatches events in (time, seq) order with time <= until, in the
@@ -232,18 +187,17 @@ func (k *Kernel) next(until Time) *event {
 // blocking process (Proc.block).
 func (k *Kernel) pop(until Time) *Proc {
 	for {
-		e := k.next(until)
-		if e == nil {
+		e, ok := k.next(until)
+		if !ok {
 			return nil
 		}
-		p, fn := e.p, e.fn
-		k.freeEvent(e)
-		if p == nil {
-			fn()
-		} else if p.stepNext {
-			k.step(p)
+		k.dispatched++
+		if e.p == nil {
+			e.fn()
+		} else if e.p.stepNext {
+			k.step(e.p)
 		} else {
-			return p
+			return e.p
 		}
 	}
 }
@@ -299,7 +253,7 @@ func (k *Kernel) run(until Time) {
 // Pending reports the number of scheduled events (calendar and same-instant
 // queue).
 func (k *Kernel) Pending() int {
-	return k.cq.len() + len(k.nowQ) - k.nowHead
+	return len(k.cq) + len(k.nowQ) - k.nowHead
 }
 
 // Shutdown terminates every live process and dismisses the worker pool,

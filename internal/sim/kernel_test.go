@@ -96,52 +96,71 @@ func TestKernelUnparkFIFO(t *testing.T) {
 	}
 }
 
-// TestKernelHoldModelOrdering stresses the calendar queue with the hold
-// model across all its regimes — same-instant events, wheel-bucket events
-// and beyond-horizon overflow events — and requires a monotone clock and
-// exact event accounting.
+// TestKernelHoldModelOrdering is an exact order oracle for the calendar and
+// the same-instant FIFO under the hold model: every event reschedules itself
+// zero (the FIFO), under a microsecond, some milliseconds or up to 200 ms
+// ahead. Each firing records the time it was scheduled for and a counter
+// taken at its At call. The kernel must fire every event at its time, in
+// (time, counter) order, and count each one it dispatches.
 func TestKernelHoldModelOrdering(t *testing.T) {
 	k := NewKernel()
 	rng := rand.New(rand.NewSource(3))
-	const population = 64
-	fired, stop := 0, 200000
-	var self func()
-	self = func() {
-		fired++
-		if fired >= stop {
-			return
-		}
-		// Offsets from 0 (now-FIFO) through mid-wheel to several times the
-		// wheel horizon (overflow heap).
-		switch rng.Intn(4) {
-		case 0:
-			k.At(k.Now(), self)
-		case 1:
-			k.After(Duration(rng.Intn(1000))*Nanosecond, self)
-		case 2:
-			k.After(Duration(rng.Intn(10))*Millisecond, self)
-		default:
-			k.After(Duration(rng.Intn(200))*Millisecond, self)
-		}
+	const population, stop = 64, 200000
+	type firing struct {
+		at Time
+		n  int
+	}
+	var fired []firing
+	scheduled := 0
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		n := scheduled
+		scheduled++
+		k.At(at, func() {
+			if k.Now() != at {
+				t.Fatalf("event for %v fired at %v", at, k.Now())
+			}
+			fired = append(fired, firing{at, n})
+			if len(fired) >= stop {
+				return
+			}
+			switch rng.Intn(4) {
+			case 0:
+				schedule(k.Now())
+			case 1:
+				schedule(k.Now() + Duration(rng.Intn(1000))*Nanosecond)
+			case 2:
+				schedule(k.Now() + Duration(rng.Intn(10))*Millisecond)
+			default:
+				schedule(k.Now() + Duration(rng.Intn(200))*Millisecond)
+			}
+		})
 	}
 	for i := 0; i < population; i++ {
-		k.At(Duration(rng.Intn(50))*Millisecond, self)
+		schedule(Duration(rng.Intn(50)) * Millisecond)
 	}
-	last := Time(-1)
-	prev := 0
 	for k.Pending() > 0 {
-		if k.Now() < last {
-			t.Fatalf("clock went backwards: %v after %v", k.Now(), last)
-		}
-		last = k.Now()
-		k.Run(last + 10*Millisecond)
-		if fired < prev {
-			t.Fatalf("fired count decreased")
-		}
-		prev = fired
+		k.Run(k.Now() + 10*Millisecond)
 	}
-	if fired < stop {
-		t.Fatalf("fired %d events, want >= %d", fired, stop)
+	if len(fired) != scheduled || scheduled < stop {
+		t.Fatalf("fired %d of %d scheduled events, want all and >= %d", len(fired), scheduled, stop)
+	}
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if b.at < a.at || b.at == a.at && b.n < a.n {
+			t.Fatalf("firing %d %+v dispatched after %+v", i, b, a)
+		}
+	}
+	if d := k.Stats().Dispatched; d != int64(scheduled) {
+		t.Errorf("Dispatched = %d, want %d", d, scheduled)
+	}
+	// A vacated slot must not keep a dispatched closure alive.
+	for _, q := range [][]event{k.cq[:cap(k.cq)], k.nowQ[:cap(k.nowQ)]} {
+		for i, e := range q {
+			if e.fn != nil || e.p != nil {
+				t.Fatalf("vacated slot %d of %d still holds an event for %v", i, len(q), e.t)
+			}
+		}
 	}
 }
 
