@@ -70,3 +70,47 @@ func TestInlineWaitNoSwitch(t *testing.T) {
 		t.Errorf("Dispatched = %d, want %d", s.Dispatched, waits+1)
 	}
 }
+
+// TestKernelStatsCalendar verifies the calendar's observability counters:
+// events near and far ahead (beyond 33.6 ms, where a bucketed calendar
+// would spill into an overflow tier) are all pending in the one heap,
+// dispatch in time order and are each counted once, and OverflowPushes
+// reads 0 throughout.
+func TestKernelStatsCalendar(t *testing.T) {
+	k := NewKernel()
+	const far = 40 * Millisecond
+	var order []Time
+	// Near and far events interleaved, each scheduled latest-first within
+	// its half, so time order is not insertion order.
+	for i := 8; i >= 1; i-- {
+		near, beyond := Time(i)*Millisecond, far+Time(i)*Millisecond
+		k.At(near, func() { order = append(order, near) })
+		k.At(beyond, func() { order = append(order, beyond) })
+	}
+	s := k.Stats()
+	if p := k.Pending(); p != 16 {
+		t.Errorf("Pending = %d, want 16", p)
+	}
+	if s.Dispatched != 0 || s.OverflowPushes != 0 {
+		t.Errorf("before run: Dispatched/OverflowPushes = %d/%d, want 0/0", s.Dispatched, s.OverflowPushes)
+	}
+	k.RunAll()
+	s = k.Stats()
+	if p := k.Pending(); p != 0 {
+		t.Errorf("residual events: %d pending", p)
+	}
+	if s.Dispatched != 16 {
+		t.Errorf("Dispatched = %d, want 16", s.Dispatched)
+	}
+	if s.OverflowPushes != 0 {
+		t.Errorf("OverflowPushes = %d, want 0", s.OverflowPushes)
+	}
+	if len(order) != 16 {
+		t.Fatalf("fired %d events, want 16", len(order))
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i] <= order[i-1] {
+			t.Fatalf("event for %v fired after the one for %v", order[i], order[i-1])
+		}
+	}
+}
